@@ -14,14 +14,11 @@ from qfaeq import (
     GaussianRational,
     KLetterQFA,
     always_accept_qfa,
-    basis_search,
     brute_force,
     decide,
-    join,
     last_letter_qfa,
     random_qfa,
     theorem4_bound,
-    verdict_from_search,
 )
 from fractions import Fraction
 
@@ -59,15 +56,12 @@ if not v.equivalent:
 bound = theorem4_bound(a.n, c.n, len(two), max(a.k, c.k))
 print("  length bound:", bound)
 vb = brute_force(a, c, max_len=8)
-print("  brute-force agrees:", vb.equivalent == v.equivalent,
-      " shortest witness:", repr(vb.witness))
+print("  brute-force agrees:", vb == v,
+      " least witness:", repr(vb.witness))
 
 # The search itself is small: per-suffix-class basis sizes are capped by
-# the squared joint dimension, and the queue by a polynomial in it.
-j = join(a, c)
-sbm = basis_search(j)
+# the squared joint dimension, and the queue by a polynomial in it.  The
+# verdict carries these counts.
 print("\nsearch statistics for the random pair:")
-print("  class sizes      :", sbm.basis_sizes())
-print("  vectors processed:", sbm.processed)
-print("  verdict re-derived:",
-      verdict_from_search(j, sbm, a, c).equivalent == v.equivalent)
+print("  class sizes      :", v.basis_sizes)
+print("  vectors processed:", v.nodes_processed)

@@ -51,7 +51,6 @@ from .equivalence import (
     join,
     theorem4_bound,
     verdict_from_search,
-    word_less,
 )
 from .io import QfaFormatError, parse_qfa, serialize_qfa
 
@@ -98,7 +97,6 @@ __all__ = [
     "join",
     "theorem4_bound",
     "verdict_from_search",
-    "word_less",
     "QfaFormatError",
     "parse_qfa",
     "serialize_qfa",

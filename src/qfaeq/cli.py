@@ -9,32 +9,17 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
         [--method algebraic|bruteforce] [--json]
     gen --states N --alphabet CSV --k K --seed S -o FILE
     bound FILE1 FILE2             print the guaranteed search depth
-    bench --grid SPEC             decide vs brute force over a grid, CSV out
-
-The bench grid SPEC is a semicolon-separated list of assignments, where n, m,
-and k take comma-separated value lists and seeds/maxlen take one integer:
-
-    n=1,2;m=1,2;k=1,2;seeds=3;maxlen=8
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
-import string
 import sys
 import time
 from dataclasses import dataclass
 
-from .equivalence import (
-    _brute_force_counting,
-    basis_search,
-    join,
-    theorem4_bound,
-    verdict_from_search,
-)
+from .equivalence import brute_force, decide, theorem4_bound
 from .io import QfaFormatError, format_rational, load_qfa, save_qfa
 from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
 
@@ -84,11 +69,6 @@ class EquivReport:
             lines.append(f"witness: {self.witness!r}")
             lines.append(f"p1: {self.p1}")
             lines.append(f"p2: {self.p2}")
-            if self.method == "algebraic":
-                lines.append(
-                    "note: witness is the least flagged word in word order, "
-                    "not necessarily the shortest counterexample"
-                )
         if self.basis_sizes is not None:
             sizes = ", ".join(
                 f"{cls!r}={size}" for cls, size in sorted(self.basis_sizes.items())
@@ -131,17 +111,12 @@ def _cmd_equiv(ns) -> int:
     bound = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
     start = time.perf_counter()
     if ns.method == "algebraic":
-        joint = join(a1, a2)
-        sbm = basis_search(joint)
-        verdict = verdict_from_search(joint, sbm, a1, a2)
-        basis_sizes = sbm.basis_sizes()
-        nodes = sbm.processed
+        verdict = decide(a1, a2)
     else:
         # Without a cap the enumeration runs to the full bound, which is
         # astronomically slow for multi-symbol alphabets; --max-len keeps
         # the oracle usable there.
-        verdict, nodes = _brute_force_counting(a1, a2, ns.max_len)
-        basis_sizes = None
+        verdict = brute_force(a1, a2, ns.max_len)
     wall_ms = round((time.perf_counter() - start) * 1000, 3)
     report = EquivReport(
         verdict="equivalent" if verdict.equivalent else "not_equivalent",
@@ -150,8 +125,8 @@ def _cmd_equiv(ns) -> int:
         witness=verdict.witness,
         p1=None if verdict.p1 is None else format_rational(verdict.p1),
         p2=None if verdict.p2 is None else format_rational(verdict.p2),
-        basis_sizes=basis_sizes,
-        nodes_processed=nodes,
+        basis_sizes=verdict.basis_sizes,
+        nodes_processed=verdict.nodes_processed,
         wall_ms=wall_ms,
     )
     if ns.json:
@@ -177,66 +152,6 @@ def _cmd_gen(ns) -> int:
 def _cmd_bound(ns) -> int:
     a1, a2 = _load_two(ns.file1, ns.file2)
     print(theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k)))
-    return 0
-
-
-def _parse_grid(spec: str) -> dict:
-    grid = {"n": [2], "m": [2], "k": [1], "seeds": 1, "maxlen": 8}
-    listy = {"n", "m", "k"}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise QfaFormatError(f"grid: cannot parse {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in grid:
-            raise QfaFormatError(f"grid: unknown key {key!r}")
-        try:
-            if key in listy:
-                grid[key] = [int(x) for x in value.split(",")]
-            else:
-                grid[key] = int(value)
-        except ValueError:
-            raise QfaFormatError(f"grid: bad value for {key!r}: {value!r}") from None
-    for key in listy:
-        if any(v < 1 for v in grid[key]):
-            raise QfaFormatError(f"grid: {key} values must be positive")
-    if max(grid["m"]) > len(string.ascii_lowercase):
-        raise QfaFormatError("grid: m larger than 26 is not supported")
-    if grid["seeds"] < 1 or grid["maxlen"] < 0:
-        raise QfaFormatError("grid: seeds must be >= 1 and maxlen >= 0")
-    return grid
-
-
-def _cmd_bench(ns) -> int:
-    grid = _parse_grid(ns.grid)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "m", "k", "method", "verdict", "millis"])
-    for n, m, k in itertools.product(grid["n"], grid["m"], grid["k"]):
-        alphabet = Alphabet(string.ascii_lowercase[:m])
-        for seed in range(grid["seeds"]):
-            a1 = random_qfa(n, alphabet, k, 2 * seed)
-            a2 = random_qfa(n, alphabet, k, 2 * seed + 1)
-            start = time.perf_counter()
-            joint = join(a1, a2)
-            sbm = basis_search(joint)
-            verdict = verdict_from_search(joint, sbm, a1, a2)
-            millis = round((time.perf_counter() - start) * 1000, 3)
-            writer.writerow(
-                [n, m, k, "algebraic",
-                 "equivalent" if verdict.equivalent else "not_equivalent",
-                 millis]
-            )
-            start = time.perf_counter()
-            verdict, _ = _brute_force_counting(a1, a2, grid["maxlen"])
-            millis = round((time.perf_counter() - start) * 1000, 3)
-            writer.writerow(
-                [n, m, k, "bruteforce",
-                 "equivalent" if verdict.equivalent else "not_equivalent",
-                 millis]
-            )
     return 0
 
 
@@ -286,10 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("bench", help="time decide vs brute force over a grid")
-    p.add_argument("--grid", required=True)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -5,13 +5,13 @@ b2 for the two conjugated initial vectors embedded in the direct sum of the
 state spaces, the difference of acceptance probabilities on a word x is a
 bilinear form
 
-    P1(x) - P2(x)  =  eta . nubar(x) . pacc
+    P1(x) - P2(x)  =  sum of (eta . nubar(x))[p] over accepting positions p
 
 where eta is the difference of the flattened outer products b ox conj(b),
 nubar(x) is the per-letter product of kron(T, conj(T)) over the joined
-transitions T, and pacc marks the diagonal positions of accepting states.
-The two automata are equivalent exactly when eta . nubar(x) is orthogonal to
-pacc for every word x.
+transitions T, and the accepting positions are the diagonal positions of
+accepting states.  The two automata are equivalent exactly when that sum
+vanishes for every word x.
 
 Because nubar(xs) depends on x only through the window governing the next
 letter, the rows eta . nubar(x) can be explored word by word; collecting a
@@ -52,7 +52,7 @@ from .qfa import (
     lift,
     reachable_contexts,
 )
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational
 
 __all__ = [
     "JointAutomaton",
@@ -66,7 +66,6 @@ __all__ = [
     "join",
     "theorem4_bound",
     "verdict_from_search",
-    "word_less",
 ]
 
 
@@ -80,17 +79,6 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     return ((n1 + n2) ** 2 - 1) * m ** (k - 1) + k
 
 
-def word_less(x1: str, x2: str, alphabet: Alphabet) -> bool:
-    """Strict word order: shorter first, then position by position in the
-    alphabet's symbol order.  The empty word is least."""
-    if len(x1) != len(x2):
-        return len(x1) < len(x2)
-    for c1, c2 in zip(x1, x2):
-        if c1 != c2:
-            return alphabet.index(c1) < alphabet.index(c2)
-    return False
-
-
 @dataclass(frozen=True)
 class JointAutomaton:
     """Both automata run side by side, bilinearized.
@@ -98,8 +86,8 @@ class JointAutomaton:
     ``transitions`` holds the block-diagonal unitaries of the lifted pair;
     ``nu`` maps each context to kron(T, conj(T)), the operator that advances
     rows of the bilinear form; ``eta`` is the starting row encoding the
-    difference of the two initial states; ``pacc`` (with its index list
-    ``accept_positions``) extracts P1 - P2 from any such row.
+    difference of the two initial states; summing a row over
+    ``accept_positions`` gives P1 - P2 for that row's word.
     """
 
     n1: int
@@ -110,7 +98,6 @@ class JointAutomaton:
     transitions: dict
     nu: dict
     eta: Vector
-    pacc: Vector
     accept_positions: tuple
 
 
@@ -139,9 +126,6 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     position_set = {q * (n + 1) for q in a1.accepting}
     position_set.update((n1 + q) * (n + 1) for q in a2.accepting)
     accept_positions = tuple(sorted(position_set))
-    pacc = tuple(
-        ONE if idx in position_set else ZERO for idx in range(n * n)
-    )
     return JointAutomaton(
         n1=n1,
         n2=n2,
@@ -151,7 +135,6 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
         transitions=transitions,
         nu=nu,
         eta=eta,
-        pacc=pacc,
         accept_positions=accept_positions,
     )
 
@@ -244,17 +227,24 @@ def basis_search(j: JointAutomaton) -> SuffixBasisMap:
 class Verdict:
     """Outcome of an equivalence check.
 
-    When ``equivalent`` is false, ``witness`` is a word the two automata
-    accept with the exact probabilities ``p1 != p2``.  The algebraic
-    procedure returns the least flagged word in word order, which is not
-    always the shortest counterexample; the brute-force oracle's witness is
-    always the least counterexample outright.
+    When ``equivalent`` is false, ``witness`` is the least word, in
+    length-then-alphabet order, that the two automata accept with different
+    probabilities (for :func:`brute_force`, the least within its length
+    cap), and ``p1 != p2`` are those exact probabilities.
+
+    ``nodes_processed`` counts the search nodes dequeued by :func:`decide`
+    or the words compared by :func:`brute_force`; ``basis_sizes`` maps each
+    suffix class to its basis size (``None`` for brute force).  Neither
+    takes part in equality, so two verdicts are equal when they give the
+    same answer.
     """
 
     equivalent: bool
     witness: str | None = None
     p1: Fraction | None = None
     p2: Fraction | None = None
+    nodes_processed: int = field(default=0, compare=False)
+    basis_sizes: dict | None = field(default=None, compare=False)
 
 
 def _row_difference(vec: Vector, positions: tuple) -> GaussianRational:
@@ -275,6 +265,7 @@ def verdict_from_search(
     mixes later words into earlier basis rows, so only an unreduced row
     ties a nonzero contraction to its own word.
     """
+    counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
     for word, vec in sbm.records():
         if _row_difference(vec, j.accept_positions):
             return Verdict(
@@ -282,21 +273,20 @@ def verdict_from_search(
                 witness=word,
                 p1=accept_prob(a1, word),
                 p2=accept_prob(a2, word),
+                **counts,
             )
-    return Verdict(equivalent=True)
+    return Verdict(equivalent=True, **counts)
 
 
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     """Polynomial-time equivalence decision via the suffix-class search.
 
     Exact throughout; the verdict carries a concrete witness word and both
-    acceptance probabilities whenever the automata differ.
+    acceptance probabilities whenever the automata differ, and the search
+    counts either way.
     """
     j = join(a1, a2)
-    if vector_is_zero(j.eta):
-        return Verdict(equivalent=True)
-    sbm = basis_search(j)
-    return verdict_from_search(j, sbm, a1, a2)
+    return verdict_from_search(j, basis_search(j), a1, a2)
 
 
 def _row_accept(row: Vector, accepting: frozenset) -> Fraction:
@@ -321,13 +311,6 @@ def brute_force(
     """
     if a1.alphabet != a2.alphabet:
         raise ValueError("automata must share an alphabet")
-    verdict, _ = _brute_force_counting(a1, a2, max_len)
-    return verdict
-
-
-def _brute_force_counting(
-    a1: KLetterQFA, a2: KLetterQFA, max_len: int | None
-) -> tuple[Verdict, int]:
     symbols = a1.alphabet.symbols
     if max_len is None:
         max_len = theorem4_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
@@ -335,7 +318,7 @@ def _brute_force_counting(
     p1 = accept_prob(a1, "")
     p2 = accept_prob(a2, "")
     if p1 != p2:
-        return Verdict(False, "", p1, p2), checked
+        return Verdict(False, "", p1, p2, nodes_processed=checked)
     level = [("", initial_bra(a1), initial_bra(a2))]
     for length in range(1, max_len + 1):
         nxt = []
@@ -352,7 +335,7 @@ def _brute_force_counting(
                 p1 = _row_accept(u1, a1.accepting)
                 p2 = _row_accept(u2, a2.accepting)
                 if p1 != p2:
-                    return Verdict(False, w, p1, p2), checked
+                    return Verdict(False, w, p1, p2, nodes_processed=checked)
                 nxt.append((w, u1, u2))
         level = nxt
-    return Verdict(True), checked
+    return Verdict(True, nodes_processed=checked)

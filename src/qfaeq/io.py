@@ -76,6 +76,11 @@ def parse_rational(text, where: str = "value") -> Fraction:
         raise QfaFormatError(
             f"{where}: malformed rational {text!r} (zero denominator)"
         ) from None
+    except ValueError:
+        # Python caps int conversion from text (4300 digits by default).
+        raise QfaFormatError(
+            f"{where}: rational too long ({len(text)} characters)"
+        ) from None
 
 
 def _format_complex(z: GaussianRational) -> list:

@@ -216,24 +216,6 @@ def test_gen_rejects_bad_alphabet(files, capsys, tmp_path):
     assert "alphabet" in capsys.readouterr().err
 
 
-def test_bench_csv_output(files, capsys):
-    assert main(["bench", "--grid", "n=1,2;m=1;k=1;seeds=2;maxlen=6"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,m,k,method,verdict,millis"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 2 * 2 * 2  # cells x seeds x methods
-    for alg, brute in zip(rows[0::2], rows[1::2]):
-        assert alg[3] == "algebraic" and brute[3] == "bruteforce"
-        assert alg[:3] == brute[:3]
-        assert alg[4] == brute[4]  # the two methods agree
-        assert alg[4] in ("equivalent", "not_equivalent")
-
-
-def test_bench_rejects_bad_grid(files, capsys):
-    assert main(["bench", "--grid", "n=1;zap=3"]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
 def test_unknown_flag_exits_2(files, capsys):
     assert main(["equiv", files["always"], files["always"], "--frobnicate"]) == 2
 

@@ -185,6 +185,13 @@ def test_zero_denominator_rational():
         parse_doc(doc)
 
 
+def test_oversized_rational_is_located():
+    doc = base_document()
+    doc["initial"][0][0] = "1" * 5000
+    with pytest.raises(QfaFormatError, match=r"initial\[0\]\[0\]"):
+        parse_doc(doc)
+
+
 def test_wrong_matrix_shape():
     doc = base_document()
     doc["transitions"]["aa"] = [[["1/1", "0/1"]]]

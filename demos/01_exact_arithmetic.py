@@ -7,15 +7,8 @@ an incremental basis that answers exact membership questions.
 
 from fractions import Fraction
 
-from qfaeq import (
-    CMatrix,
-    EchelonBasis,
-    GaussianRational,
-    is_unitary,
-    kron,
-    span_insert,
-    vector,
-)
+from qfaeq import CMatrix, GaussianRational, direct_sum, is_unitary, vector
+from qfaeq.linalg import EchelonBasis, span_insert
 
 # A Gaussian rational is re + im*i with both parts Fraction.
 z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
@@ -44,9 +37,9 @@ r = CMatrix([
 print("\nR unitary:", is_unitary(r))
 print("R^2 =", r * r)
 
-# Kronecker products compose transition operators for product systems.
+# Direct sums run two systems side by side, as the equivalence check does.
 eye = CMatrix.identity(2)
-print("kron(R, I) is 4x4 unitary:", is_unitary(kron(r, eye)))
+print("direct_sum(R, I) is 4x4 unitary:", is_unitary(direct_sum(r, eye)))
 
 # The echelon basis tracks a growing span with exact membership tests.
 basis = EchelonBasis(3)

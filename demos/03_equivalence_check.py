@@ -1,10 +1,11 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure joins the two automata into one linear system,
-then grows a basis of reachable functionals, grouped by the length-(k-1)
-suffix of the word that produced each one.  The span stops growing after
-polynomially many insertions, and any probability gap shows up as a
-nonzero contraction at some recorded word, which becomes the witness.
+The decision procedure joins the two automata into one density-matrix
+difference, then grows a basis of the matrices that words reach, grouped
+by the length-(k-1) suffix of the word that produced each one.  The span
+stops growing after polynomially many insertions, and any probability gap
+shows up as a nonzero accepting diagonal at some recorded word, which
+becomes the witness.
 A brute-force scan over all words up to the length bound double-checks
 the verdicts here.
 """

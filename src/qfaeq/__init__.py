@@ -9,15 +9,11 @@ decision path.
 from .scalars import GaussianRational
 from .linalg import (
     CMatrix,
-    EchelonBasis,
     conj_vector,
     direct_sum,
     is_unitary,
-    kron,
-    kron_vector,
     norm_sq,
     row_times_matrix,
-    span_insert,
     unit_vector,
     vector,
     zero_vector,
@@ -40,17 +36,10 @@ from .qfa import (
     words_of_length,
 )
 from .equivalence import (
-    JointAutomaton,
-    QueueItem,
-    SuffixBasisMap,
     Verdict,
-    basis_search,
     brute_force,
     decide,
-    extend,
-    join,
     theorem4_bound,
-    verdict_from_search,
 )
 from .io import QfaFormatError, parse_qfa, serialize_qfa
 
@@ -59,15 +48,11 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianRational",
     "CMatrix",
-    "EchelonBasis",
     "conj_vector",
     "direct_sum",
     "is_unitary",
-    "kron",
-    "kron_vector",
     "norm_sq",
     "row_times_matrix",
-    "span_insert",
     "unit_vector",
     "vector",
     "zero_vector",
@@ -86,17 +71,10 @@ __all__ = [
     "reachable_contexts",
     "validate",
     "words_of_length",
-    "JointAutomaton",
-    "QueueItem",
-    "SuffixBasisMap",
     "Verdict",
-    "basis_search",
     "brute_force",
     "decide",
-    "extend",
-    "join",
     "theorem4_bound",
-    "verdict_from_search",
     "QfaFormatError",
     "parse_qfa",
     "serialize_qfa",

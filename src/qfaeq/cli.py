@@ -19,7 +19,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .equivalence import brute_force, decide, theorem4_bound
+from .equivalence import (
+    brute_force,
+    decide,
+    require_shared_alphabet,
+    theorem4_bound,
+)
 from .io import QfaFormatError, format_rational, load_qfa, save_qfa
 from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
 
@@ -82,11 +87,7 @@ class EquivReport:
 def _load_two(path1, path2) -> tuple[KLetterQFA, KLetterQFA]:
     a1 = load_qfa(path1)
     a2 = load_qfa(path2)
-    if a1.alphabet != a2.alphabet:
-        raise QfaFormatError(
-            f"alphabet mismatch: {''.join(a1.alphabet)!r} vs "
-            f"{''.join(a2.alphabet)!r}"
-        )
+    require_shared_alphabet(a1, a2)
     return a1, a2
 
 

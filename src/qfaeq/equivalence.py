@@ -1,24 +1,23 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure works on a single joined automaton.  Writing b1 and
-b2 for the two conjugated initial vectors embedded in the direct sum of the
-state spaces, the difference of acceptance probabilities on a word x is a
-bilinear form
+The decision procedure works on a single joined automaton whose state is a
+density-matrix difference.  With psi1 and psi2 the two initial kets it
+starts as the block-diagonal rho = psi1 psi1^dagger (+) -psi2 psi2^dagger,
+and a word x advances it to rho(x) = mubar(x)^dagger rho mubar(x), one step
+rho -> T^dagger rho T per letter over the joined transitions T.  Then
 
-    P1(x) - P2(x)  =  sum of (eta . nubar(x))[p] over accepting positions p
+    P1(x) - P2(x)  =  sum of rho(x)_qq over accepting states q
 
-where eta is the difference of the flattened outer products b ox conj(b),
-nubar(x) is the per-letter product of kron(T, conj(T)) over the joined
-transitions T, and the accepting positions are the diagonal positions of
-accepting states.  The two automata are equivalent exactly when that sum
-vanishes for every word x.
+and the two automata are equivalent exactly when that sum vanishes for
+every word x.
 
-Because nubar(xs) depends on x only through the window governing the next
-letter, the rows eta . nubar(x) can be explored word by word; collecting a
-spanning set per length-(k-1) suffix class visits only polynomially many
-words (see :func:`basis_search`), and no row outside the collected spans can
-introduce a new violation.  :func:`brute_force` is an independent oracle that
-compares acceptance probabilities word by word instead.
+Because each step depends on x only through the window governing the next
+letter, the flattened matrices rho(x) can be explored word by word;
+collecting a spanning set per length-(k-1) suffix class visits only
+polynomially many words (see :func:`basis_search`), and no row outside the
+collected spans can introduce a new violation.  :func:`brute_force` is an
+independent oracle that compares acceptance probabilities word by word
+instead.
 """
 
 from __future__ import annotations
@@ -33,15 +32,10 @@ from .linalg import (
     CMatrix,
     EchelonBasis,
     Vector,
-    conj_vector,
     direct_sum,
-    kron,
-    kron_vector,
     row_times_matrix,
     span_insert,
-    vec_sub,
     vector_is_zero,
-    zero_vector,
 )
 from .qfa import (
     Alphabet,
@@ -64,6 +58,7 @@ __all__ = [
     "decide",
     "extend",
     "join",
+    "require_shared_alphabet",
     "theorem4_bound",
     "verdict_from_search",
 ]
@@ -81,13 +76,13 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class JointAutomaton:
-    """Both automata run side by side, bilinearized.
+    """Both automata run side by side on one density-matrix difference.
 
     ``transitions`` holds the block-diagonal unitaries of the lifted pair;
-    ``nu`` maps each context to kron(T, conj(T)), the operator that advances
-    rows of the bilinear form; ``eta`` is the starting row encoding the
-    difference of the two initial states; summing a row over
-    ``accept_positions`` gives P1 - P2 for that row's word.
+    ``rho`` is the starting n x n matrix psi1 psi1^dagger (+) -psi2
+    psi2^dagger.  ``accept_positions`` are the diagonal positions q*(n+1)
+    of the accepting states in the row-major flattening of a matrix, so
+    summing a flattened rho(x) over them gives P1 - P2 for the word x.
     """
 
     n1: int
@@ -96,36 +91,43 @@ class JointAutomaton:
     k: int
     alphabet: Alphabet
     transitions: dict
-    nu: dict
-    eta: Vector
+    rho: CMatrix
     accept_positions: tuple
+
+
+def require_shared_alphabet(a1: KLetterQFA, a2: KLetterQFA) -> None:
+    """Raise ValueError, naming both alphabets in order, unless they match."""
+    if a1.alphabet != a2.alphabet:
+        raise ValueError(
+            f"alphabet mismatch: {''.join(a1.alphabet)!r} vs "
+            f"{''.join(a2.alphabet)!r}"
+        )
+
+
+def _outer(u: Vector, v: Vector) -> CMatrix:
+    """The matrix u v^dagger of two kets."""
+    return CMatrix([[x * y.conjugate() for y in v] for x in u])
 
 
 def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     """Combine two automata over the same alphabet, lifting the narrower
     window to the wider one first."""
-    if a1.alphabet != a2.alphabet:
-        raise ValueError("automata must share an alphabet")
+    require_shared_alphabet(a1, a2)
     k = max(a1.k, a2.k)
     l1 = lift(a1, k)
     l2 = lift(a2, k)
     n1, n2 = a1.n, a2.n
     n = n1 + n2
-    transitions = {}
-    nu = {}
-    for ctx in reachable_contexts(a1.alphabet, k):
-        t = direct_sum(l1.transitions[ctx], l2.transitions[ctx])
-        transitions[ctx] = t
-        nu[ctx] = kron(t, t.conjugate())
-    b1 = conj_vector(a1.initial) + zero_vector(n2)
-    b2 = zero_vector(n1) + conj_vector(a2.initial)
-    eta = vec_sub(
-        kron_vector(b1, conj_vector(b1)),
-        kron_vector(b2, conj_vector(b2)),
+    transitions = {
+        ctx: direct_sum(l1.transitions[ctx], l2.transitions[ctx])
+        for ctx in reachable_contexts(a1.alphabet, k)
+    }
+    rho = direct_sum(
+        _outer(a1.initial, a1.initial),
+        _outer(tuple(-x for x in a2.initial), a2.initial),
     )
     position_set = {q * (n + 1) for q in a1.accepting}
     position_set.update((n1 + q) * (n + 1) for q in a2.accepting)
-    accept_positions = tuple(sorted(position_set))
     return JointAutomaton(
         n1=n1,
         n2=n2,
@@ -133,38 +135,43 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
         k=k,
         alphabet=a1.alphabet,
         transitions=transitions,
-        nu=nu,
-        eta=eta,
-        accept_positions=accept_positions,
+        rho=rho,
+        accept_positions=tuple(sorted(position_set)),
     )
 
 
 class QueueItem(NamedTuple):
-    """A word together with its bilinear row eta . nubar(word)."""
+    """A word x together with its joint matrix rho(x)."""
 
     word: str
-    vector: Vector
+    rho: CMatrix
 
 
 def extend(j: JointAutomaton, item: QueueItem, sigma: str) -> QueueItem:
-    """Append one letter, advancing the row by the matching nu operator."""
+    """Append one letter, advancing rho to T^dagger rho T for the matching
+    joined transition T."""
     if sigma not in j.alphabet:
         raise ValueError(f"letter {sigma!r} not in alphabet")
     word = item.word + sigma
-    ctx = _context_at(j.k, word, len(word))
-    return QueueItem(word, row_times_matrix(item.vector, j.nu[ctx]))
+    t = j.transitions[_context_at(j.k, word, len(word))]
+    return QueueItem(word, t.dagger() * item.rho * t)
+
+
+def _flatten(m: CMatrix) -> Vector:
+    """Row-major entries of a matrix, as the row the span search works on."""
+    return tuple(itertools.chain.from_iterable(m.data))
 
 
 @dataclass
 class SuffixBasisMap:
     """Everything :func:`basis_search` records.
 
-    ``bases`` maps each length-(k-1) suffix class to the echelon basis of
-    rows collected for it.  ``short_records`` holds the rows of all words
-    shorter than k-1 (checked directly, they belong to no class) and
-    ``member_records`` the raw row of every vector that entered some basis;
-    both lists are in word order, so the first entry failing the
-    orthogonality check is the least witness.  ``processed`` counts dequeued
+    A row is a flattened joint matrix rho(x).  ``bases`` maps each
+    length-(k-1) suffix class to the echelon basis of rows collected for it.
+    ``short_records`` holds the rows of all words shorter than k-1 (checked
+    directly, they belong to no class) and ``member_records`` the raw row of
+    every word that entered some basis; both lists are in word order, so the
+    first entry with a nonzero accepting diagonal is the least witness.  ``processed`` counts dequeued
     search nodes.
     """
 
@@ -185,7 +192,7 @@ class SuffixBasisMap:
 
 
 def basis_search(j: JointAutomaton) -> SuffixBasisMap:
-    """Collect a spanning set of bilinear rows per suffix class.
+    """Collect a spanning set of flattened joint matrices per suffix class.
 
     Words shorter than k-1 cannot head a class and are only recorded.  Each
     word of length k-1 seeds its own class's basis with its row.  From
@@ -199,25 +206,27 @@ def basis_search(j: JointAutomaton) -> SuffixBasisMap:
     symbols = j.alphabet.symbols
     dim = j.n * j.n
     sbm = SuffixBasisMap(bases={})
-    level = [QueueItem("", j.eta)]
+    level = [QueueItem("", j.rho)]
     for _ in range(k - 1):
-        sbm.short_records.extend((it.word, it.vector) for it in level)
+        sbm.short_records.extend((it.word, _flatten(it.rho)) for it in level)
         level = [extend(j, it, s) for it in level for s in symbols]
     for it in level:
         basis = EchelonBasis(dim)
-        if not vector_is_zero(it.vector):
-            _, basis = span_insert(basis, it.vector, it.word)
-            sbm.member_records.append((it.word, it.vector))
+        row = _flatten(it.rho)
+        if not vector_is_zero(row):
+            _, basis = span_insert(basis, row, it.word)
+            sbm.member_records.append((it.word, row))
         sbm.bases[it.word] = basis
     queue = deque(extend(j, it, s) for it in level for s in symbols)
     while queue:
         item = queue.popleft()
         sbm.processed += 1
         cls = item.word[len(item.word) - k + 1 :]
-        inserted, updated = span_insert(sbm.bases[cls], item.vector, item.word)
+        row = _flatten(item.rho)
+        inserted, updated = span_insert(sbm.bases[cls], row, item.word)
         if inserted:
             sbm.bases[cls] = updated
-            sbm.member_records.append((item.word, item.vector))
+            sbm.member_records.append((item.word, row))
             for s in symbols:
                 queue.append(extend(j, item, s))
     return sbm
@@ -309,8 +318,7 @@ def brute_force(
     production procedure.  The witness, if any, is the least differing word
     in word order.
     """
-    if a1.alphabet != a2.alphabet:
-        raise ValueError("automata must share an alphabet")
+    require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     if max_len is None:
         max_len = theorem4_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))

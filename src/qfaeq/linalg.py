@@ -25,13 +25,10 @@ __all__ = [
     "conj_vector",
     "direct_sum",
     "is_unitary",
-    "kron",
-    "kron_vector",
     "norm_sq",
     "row_times_matrix",
     "span_insert",
     "unit_vector",
-    "vec_sub",
     "vector",
     "vector_is_zero",
     "zero_vector",
@@ -53,8 +50,8 @@ class CMatrix:
     """An immutable matrix of Gaussian rationals.
 
     ``data`` is a tuple of row tuples.  Multiplication, conjugation, and the
-    Kronecker and direct-sum constructions all stay exact; there is no
-    floating-point path anywhere in this class.
+    direct-sum construction all stay exact; there is no floating-point path
+    anywhere in this class.
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -139,21 +136,6 @@ class CMatrix:
         return f"CMatrix[{rows}]"
 
 
-def kron(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Kronecker product; entry ((i,r),(j,c)) is a[i,j] * b[r,c]."""
-    rows = []
-    for arow in a.data:
-        for brow in b.data:
-            out = []
-            for x in arow:
-                if x:
-                    out.extend(x * y if y else ZERO for y in brow)
-                else:
-                    out.extend(ZERO for _ in brow)
-            rows.append(out)
-    return CMatrix(rows)
-
-
 def direct_sum(a: CMatrix, b: CMatrix) -> CMatrix:
     """Block-diagonal sum of two square matrices."""
     if not a.is_square or not b.is_square:
@@ -188,21 +170,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def conj_vector(v: Vector) -> Vector:
     return tuple(x.conjugate() for x in v)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v, strict=True))
-
-
-def kron_vector(u: Vector, v: Vector) -> Vector:
-    """Flattened outer product; entry i*len(v)+j is u[i] * v[j]."""
-    out = []
-    for x in u:
-        if x:
-            out.extend(x * y if y else ZERO for y in v)
-        else:
-            out.extend(ZERO for _ in v)
-    return tuple(out)
 
 
 def vector_is_zero(v: Vector) -> bool:

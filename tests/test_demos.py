@@ -19,3 +19,8 @@ def test_demo_runs(demo):
         timeout=120, env=dict(os.environ, PYTHONPATH=package_root),
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_resolve():
+    missing = [name for name in qfaeq.__all__ if not hasattr(qfaeq, name)]
+    assert missing == []

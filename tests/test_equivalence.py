@@ -16,7 +16,6 @@ from qfaeq.equivalence import (
 )
 from qfaeq.linalg import (
     CMatrix,
-    kron,
     row_times_matrix,
     vector_is_zero,
 )
@@ -36,15 +35,17 @@ from qfaeq.scalars import GaussianRational
 AB = Alphabet("ab")
 
 
-def bilinear_difference(j, word):
-    """eta . nubar(word) summed over the accepting positions, computed
-    directly from the joint automaton, one nu step per letter."""
-    item = QueueItem("", j.eta)
+def trace_difference(j, word):
+    """The accepting diagonal of rho(word), computed from the joint
+    automaton one step per letter and summed over the flattened accepting
+    positions."""
+    item = QueueItem("", j.rho)
     for s in word:
         item = extend(j, item, s)
+    flat = [x for row in item.rho.data for x in row]
     total = GaussianRational(0)
     for p in j.accept_positions:
-        total = total + item.vector[p]
+        total = total + flat[p]
     return total
 
 
@@ -67,19 +68,23 @@ def test_theorem4_bound_spot_values():
 def test_join_requires_matching_alphabets():
     with pytest.raises(ValueError):
         join(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
+    # same symbols in another order: the message names both alphabets
+    ab, ba = always_accept_qfa(AB), always_accept_qfa(Alphabet("ba"))
+    for check in (decide, brute_force):
+        with pytest.raises(ValueError, match="'ab' vs 'ba'"):
+            check(ab, ba)
 
 
 def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     j = join(a, a)
     assert (j.n1, j.n2, j.n, j.k) == (1, 1, 2, 1)
-    # The two embedded initial rows are (1,0) and (0,1); their flattened
-    # outer products occupy disjoint blocks, so eta is nonzero even for a
-    # self-join: (1,0,0,0) - (0,0,0,1).
-    assert [str(x) for x in j.eta] == ["1", "0", "0", "-1"]
+    # The two outer products sit in disjoint diagonal blocks with opposite
+    # signs, so rho is nonzero even for a self-join.
+    assert j.rho == CMatrix([[1, 0], [0, -1]])
     assert j.accept_positions == (0, 3)
-    assert bilinear_difference(j, "") == 0
-    assert bilinear_difference(j, "aa") == 0
+    assert trace_difference(j, "") == 0
+    assert trace_difference(j, "aa") == 0
     assert decide(a, a).equivalent
 
 
@@ -93,8 +98,10 @@ def test_join_block_structure():
     # off-diagonal blocks are zero
     assert t[0, 2] == 0 and t[1, 2] == 0
     assert t[2, 0] == 0 and t[2, 1] == 0
-    assert j.nu["a"] == kron(t, t.conjugate())
-    assert len(j.eta) == 9
+    rho = j.rho
+    assert (rho.nrows, rho.ncols) == (3, 3)
+    assert rho[0, 2] == 0 and rho[1, 2] == 0
+    assert rho[2, 0] == 0 and rho[2, 1] == 0
 
 
 def test_join_lifts_mixed_window_widths():
@@ -124,16 +131,16 @@ def test_bilinear_identity_on_seeded_samples():
                 rng.choice(alphabet.symbols)
                 for _ in range(rng.randrange(0, 7))
             )
-            lhs = bilinear_difference(j, word)
+            lhs = trace_difference(j, word)
             rhs = accept_prob(a1, word) - accept_prob(a2, word)
             assert lhs == rhs
             cases += 1
     assert cases == 40
 
 
-def test_nu_steps_match_mu_bar_kron():
-    # nubar(x) as the stepped product of per-context nu operators equals
-    # kron(mubar(x), conj(mubar(x))) of the joined transitions.
+def test_rho_steps_match_mu_bar():
+    # rho(x) stepped one letter at a time equals mubar(x)^dagger rho
+    # mubar(x) over the joined transitions.
     a1 = random_qfa(2, AB, 2, seed=31)
     a2 = random_qfa(1, AB, 2, seed=32)
     j = join(a1, a2)
@@ -147,29 +154,24 @@ def test_nu_steps_match_mu_bar_kron():
     )
     for word in ["", "a", "ba", "abb"]:
         m = mu_bar(joint, word)
-        stepped = CMatrix.identity(j.n * j.n)
+        stepped = j.rho
         for i in range(1, len(word) + 1):
-            stepped = stepped * j.nu[_context_at(j.k, word, i)]
-        assert stepped == kron(m, m.conjugate())
+            t = j.transitions[_context_at(j.k, word, i)]
+            stepped = t.dagger() * stepped * t
+        assert stepped == m.dagger() * j.rho * m
 
 
 def test_extend_grows_word_and_tracks_vector():
     a = random_qfa(2, AB, 2, seed=13)
     j = join(a, a)
-    item = QueueItem("", j.eta)
+    item = QueueItem("", j.rho)
     item = extend(j, item, "a")
     item = extend(j, item, "b")
     assert item.word == "ab"
-    assert item.vector == bilinear_vector(j, "ab")
+    t_a, t_b = j.transitions["_a"], j.transitions["ab"]
+    assert item.rho == t_b.dagger() * t_a.dagger() * j.rho * t_a * t_b
     with pytest.raises(ValueError):
         extend(j, item, "z")
-
-
-def bilinear_vector(j, word):
-    item = QueueItem("", j.eta)
-    for s in word:
-        item = extend(j, item, s)
-    return item.vector
 
 
 def test_basis_search_resource_bounds_and_order():
@@ -197,6 +199,20 @@ def test_basis_search_resource_bounds_and_order():
             cls = word[len(word) - k + 1 :] if len(word) >= k - 1 else word
             assert cls in sbm.bases
             assert sbm.bases[cls].contains(vec)
+        # every recorded row is a flattened n x n Hermitian matrix with zero
+        # off-diagonal blocks and trace 0 (tr rho1 = tr rho2 = 1)
+        n, n1 = j.n, j.n1
+        for _word, vec in sbm.records():
+            r = [vec[i * n : (i + 1) * n] for i in range(n)]
+            assert all(
+                r[p][q] == r[q][p].conjugate()
+                for p in range(n)
+                for q in range(n)
+            )
+            assert all(
+                not r[p][q] for p in range(n1) for q in range(n1, n)
+            )
+            assert sum((r[q][q] for q in range(n)), GaussianRational(0)) == 0
 
 
 def test_basis_search_records_short_words():
@@ -205,7 +221,7 @@ def test_basis_search_records_short_words():
     j = join(a1, a2)
     sbm = basis_search(j)
     assert [w for w, _ in sbm.short_records] == [""]
-    assert sbm.short_records[0][1] == j.eta
+    assert sbm.short_records[0][1] == tuple(x for row in j.rho.data for x in row)
 
 
 def test_decide_agrees_with_brute_force_small_grid():
@@ -347,12 +363,12 @@ def test_eta_is_never_zero_for_valid_pairs():
     for seed in range(5):
         a1 = random_qfa(2, AB, 1, seed=seed)
         a2 = random_qfa(2, AB, 1, seed=seed + 100)
-        assert not vector_is_zero(join(a1, a2).eta)
-        assert not vector_is_zero(join(a1, a1).eta)
+        for j in (join(a1, a2), join(a1, a1)):
+            assert any(not vector_is_zero(row) for row in j.rho.data)
 
 
 def test_verdict_from_search_checks_raw_vectors():
-    # The first record with a nonzero pacc contraction is the witness; all
+    # The first record with a nonzero accepting diagonal is the witness; all
     # earlier records contract to zero.  This pins the raw-vector scan: a
     # fully reduced basis row could contract nonzero while its tag's own
     # raw row does not.

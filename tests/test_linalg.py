@@ -11,13 +11,10 @@ from qfaeq.linalg import (
     conj_vector,
     direct_sum,
     is_unitary,
-    kron,
-    kron_vector,
     norm_sq,
     row_times_matrix,
     span_insert,
     unit_vector,
-    vec_sub,
     vector,
     vector_is_zero,
     zero_vector,
@@ -101,41 +98,6 @@ def test_dagger_reverses_products(seed):
     assert a.dagger() == a.transpose().conjugate()
 
 
-def test_kron_small_explicit():
-    a = CMatrix([[1, 2], [3, 4]])
-    b = CMatrix([[0, 1], [1, 0]])
-    k = kron(a, b)
-    assert k.nrows == 4 and k.ncols == 4
-    # entry ((i,r),(j,c)) = a[i,j] * b[r,c]
-    assert k[0, 1] == 1 and k[0, 3] == 2
-    assert k[1, 0] == 1 and k[1, 2] == 2
-    assert k[3, 0] == 3 and k[3, 2] == 4
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 10**6))
-def test_kron_mixed_product_rule(seed):
-    rng = random.Random(seed)
-    a = random_matrix(rng, 2, 2)
-    b = random_matrix(rng, 3, 3)
-    c = random_matrix(rng, 2, 2)
-    d = random_matrix(rng, 3, 3)
-    assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
-
-
-def test_kron_of_identities():
-    assert kron(CMatrix.identity(2), CMatrix.identity(3)) == CMatrix.identity(6)
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 10**6))
-def test_kron_commutes_with_conjugation(seed):
-    rng = random.Random(seed)
-    a = random_matrix(rng, 2, 3)
-    b = random_matrix(rng, 2, 2)
-    assert kron(a, b).conjugate() == kron(a.conjugate(), b.conjugate())
-
-
 def test_direct_sum_layout():
     a = CMatrix([[1, 2], [3, 4]])
     b = CMatrix([[5]])
@@ -190,8 +152,6 @@ def test_unitarity_closed_under_kron_and_direct_sum():
     )
     phase = CMatrix([[IMAG]])
     assert is_unitary(direct_sum(rot, phase))
-    assert is_unitary(kron(rot, rot))
-    assert is_unitary(kron(rot, rot.conjugate()))
 
 
 def test_vector_helpers():
@@ -201,7 +161,6 @@ def test_vector_helpers():
     assert unit_vector(3, 1) == (ZERO, ONE, ZERO)
     assert norm_sq(v) == Fraction(5, 4)
     assert conj_vector((IMAG,)) == (-IMAG,)
-    assert vec_sub((ONE, ZERO), (ZERO, ONE)) == (ONE, -ONE)
 
 
 @settings(max_examples=25)
@@ -217,16 +176,6 @@ def test_row_times_matrix_matches_full_product(seed):
 def test_row_times_matrix_dimension_check():
     with pytest.raises(ValueError):
         row_times_matrix((ONE,), CMatrix.identity(2))
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 10**6))
-def test_kron_vector_matches_matrix_kron(seed):
-    rng = random.Random(seed)
-    u = tuple(random_scalar(rng) for _ in range(2))
-    v = tuple(random_scalar(rng) for _ in range(3))
-    via_matrices = kron(CMatrix([u]), CMatrix([v])).row(0)
-    assert kron_vector(u, v) == via_matrices
 
 
 # Independent oracle for span rank: textbook Gaussian elimination over

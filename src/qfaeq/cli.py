@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .equivalence import (
     brute_force,
@@ -28,60 +27,29 @@ from .equivalence import (
 from .io import QfaFormatError, format_rational, load_qfa, save_qfa
 from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
 
-__all__ = ["EquivReport", "cli_main", "main"]
+__all__ = ["cli_main", "main"]
 
 
-@dataclass
-class EquivReport:
-    """One equivalence check, ready to print as text or JSON.
-
-    p1 and p2 are rational strings so the report stays exact; wall_ms is the
-    only field that varies between identical runs.
-    """
-
-    verdict: str
-    method: str
-    bound_used: int
-    witness: str | None
-    p1: str | None
-    p2: str | None
-    basis_sizes: dict | None
-    nodes_processed: int
-    wall_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "bound_used": self.bound_used,
-            "witness": self.witness,
-            "p1": self.p1,
-            "p2": self.p2,
-            "stats": {
-                "basis_sizes": self.basis_sizes,
-                "nodes_processed": self.nodes_processed,
-                "wall_ms": self.wall_ms,
-            },
-        }
-
-    def render_text(self) -> str:
-        lines = [
-            f"verdict: {self.verdict}",
-            f"method: {self.method}",
-            f"bound_used: {self.bound_used}",
-        ]
-        if self.witness is not None:
-            lines.append(f"witness: {self.witness!r}")
-            lines.append(f"p1: {self.p1}")
-            lines.append(f"p2: {self.p2}")
-        if self.basis_sizes is not None:
-            sizes = ", ".join(
-                f"{cls!r}={size}" for cls, size in sorted(self.basis_sizes.items())
-            )
-            lines.append(f"basis_sizes: {sizes}")
-        lines.append(f"nodes_processed: {self.nodes_processed}")
-        lines.append(f"wall_ms: {self.wall_ms}")
-        return "\n".join(lines)
+def _print_report(report: dict, as_json: bool) -> None:
+    """Print an equiv report as indented JSON, or as one "key: value" line
+    per field with the witness lines only when there is a witness."""
+    if as_json:
+        print(json.dumps(report, indent=2))
+        return
+    stats = report["stats"]
+    lines = [f"{key}: {report[key]}" for key in ("verdict", "method", "bound_used")]
+    if report["witness"] is not None:
+        lines.append(f"witness: {report['witness']!r}")
+        lines.append(f"p1: {report['p1']}")
+        lines.append(f"p2: {report['p2']}")
+    if stats["basis_sizes"] is not None:
+        sizes = ", ".join(
+            f"{cls!r}={size}" for cls, size in sorted(stats["basis_sizes"].items())
+        )
+        lines.append(f"basis_sizes: {sizes}")
+    lines.append(f"nodes_processed: {stats['nodes_processed']}")
+    lines.append(f"wall_ms: {stats['wall_ms']}")
+    print("\n".join(lines))
 
 
 def _load_two(path1, path2) -> tuple[KLetterQFA, KLetterQFA]:
@@ -108,8 +76,10 @@ def _cmd_prob(ns) -> int:
 
 
 def _cmd_equiv(ns) -> int:
+    if ns.max_len is not None and ns.max_len < 0:
+        raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
     a1, a2 = _load_two(ns.file1, ns.file2)
-    bound = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
+    depth = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
     start = time.perf_counter()
     if ns.method == "algebraic":
         verdict = decide(a1, a2)
@@ -118,22 +88,23 @@ def _cmd_equiv(ns) -> int:
         # astronomically slow for multi-symbol alphabets; --max-len keeps
         # the oracle usable there.
         verdict = brute_force(a1, a2, ns.max_len)
+        if ns.max_len is not None:
+            depth = ns.max_len
     wall_ms = round((time.perf_counter() - start) * 1000, 3)
-    report = EquivReport(
-        verdict="equivalent" if verdict.equivalent else "not_equivalent",
-        method=ns.method,
-        bound_used=bound,
-        witness=verdict.witness,
-        p1=None if verdict.p1 is None else format_rational(verdict.p1),
-        p2=None if verdict.p2 is None else format_rational(verdict.p2),
-        basis_sizes=verdict.basis_sizes,
-        nodes_processed=verdict.nodes_processed,
-        wall_ms=wall_ms,
-    )
-    if ns.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.render_text())
+    report = {
+        "verdict": "equivalent" if verdict.equivalent else "not_equivalent",
+        "method": ns.method,
+        "bound_used": depth,
+        "witness": verdict.witness,
+        "p1": None if verdict.p1 is None else format_rational(verdict.p1),
+        "p2": None if verdict.p2 is None else format_rational(verdict.p2),
+        "stats": {
+            "basis_sizes": verdict.basis_sizes,
+            "nodes_processed": verdict.nodes_processed,
+            "wall_ms": wall_ms,
+        },
+    }
+    _print_report(report, ns.json)
     return 0 if verdict.equivalent else 1
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     EchelonBasis,
     Vector,
     direct_sum,
+    norm_sq,
     row_times_matrix,
     span_insert,
     vector_is_zero,
@@ -298,15 +299,6 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     return verdict_from_search(j, basis_search(j), a1, a2)
 
 
-def _row_accept(row: Vector, accepting: frozenset) -> Fraction:
-    total = Fraction(0)
-    for q in accepting:
-        x = row[q]
-        if x:
-            total += x.abs_sq()
-    return total
-
-
 def brute_force(
     a1: KLetterQFA, a2: KLetterQFA, max_len: int | None = None
 ) -> Verdict:
@@ -340,8 +332,8 @@ def brute_force(
                     v2, a2.transitions[_context_at(a2.k, w, length)]
                 )
                 checked += 1
-                p1 = _row_accept(u1, a1.accepting)
-                p2 = _row_accept(u2, a2.accepting)
+                p1 = norm_sq(u1[q] for q in a1.accepting)
+                p2 = norm_sq(u2[q] for q in a2.accepting)
                 if p1 != p2:
                     return Verdict(False, w, p1, p2, nodes_processed=checked)
                 nxt.append((w, u1, u2))

@@ -22,18 +22,24 @@ always valid; every error message names the offending location.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import CMatrix
-from .qfa import Alphabet, KLetterQFA, _context_shape_ok, reachable_contexts, validate
+from .qfa import (
+    Alphabet,
+    KLetterQFA,
+    _context_shape_ok,
+    _iter_contexts,
+    reachable_contexts,
+    validate,
+)
 from .scalars import GaussianRational
 
 __all__ = [
     "FORMAT_VERSION",
-    "QfaDocument",
     "QfaFormatError",
     "format_rational",
     "load_qfa",
@@ -118,136 +124,89 @@ def _require_int(obj, where: str, minimum: int) -> int:
     return obj
 
 
-@dataclass
-class QfaDocument:
-    """The wire-format view of an automaton: plain ints, strings, and lists
-    exactly as they appear in the JSON, with conversions in both directions."""
-
-    format_version: int
-    k: int
-    alphabet: list
-    states: int
-    initial: list
-    accepting: list
-    transitions: dict
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "QfaDocument":
-        if not isinstance(obj, dict):
-            raise QfaFormatError("document: expected a JSON object")
-        for name in _DOCUMENT_FIELDS:
-            if name not in obj:
-                raise QfaFormatError(f"document: missing field {name!r}")
-        for name in obj:
-            if name not in _DOCUMENT_FIELDS:
-                raise QfaFormatError(f"document: unknown field {name!r}")
-        version = _require_int(obj["format_version"], "format_version", 1)
-        if version != FORMAT_VERSION:
-            raise QfaFormatError(
-                f"format_version: unsupported version {version}, "
-                f"expected {FORMAT_VERSION}"
-            )
-        if not isinstance(obj["alphabet"], list):
-            raise QfaFormatError("alphabet: expected a list of symbols")
-        if not isinstance(obj["initial"], list):
-            raise QfaFormatError("initial: expected a list of [re, im] pairs")
-        if not isinstance(obj["accepting"], list):
-            raise QfaFormatError("accepting: expected a list of state indices")
-        if not isinstance(obj["transitions"], dict):
-            raise QfaFormatError("transitions: expected an object")
-        return cls(
-            format_version=version,
-            k=_require_int(obj["k"], "k", 1),
-            alphabet=list(obj["alphabet"]),
-            states=_require_int(obj["states"], "states", 1),
-            initial=list(obj["initial"]),
-            accepting=list(obj["accepting"]),
-            transitions=dict(obj["transitions"]),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "k": self.k,
-            "alphabet": self.alphabet,
-            "states": self.states,
-            "initial": self.initial,
-            "accepting": self.accepting,
-            "transitions": self.transitions,
-        }
-
-    @classmethod
-    def from_qfa(cls, a: KLetterQFA) -> "QfaDocument":
-        return cls(
-            format_version=FORMAT_VERSION,
-            k=a.k,
-            alphabet=list(a.alphabet.symbols),
-            states=a.n,
-            initial=[_format_complex(z) for z in a.initial],
-            accepting=sorted(a.accepting),
-            transitions={
-                ctx: [
-                    [_format_complex(z) for z in row]
-                    for row in a.transitions[ctx].data
-                ]
-                for ctx in reachable_contexts(a.alphabet, a.k)
-            },
-        )
-
-    def to_qfa(self) -> KLetterQFA:
-        """Build and validate the automaton; raises QfaFormatError with every
-        violation joined into one message if it is not well formed."""
-        try:
-            alphabet = Alphabet(self.alphabet)
-        except ValueError as exc:
-            raise QfaFormatError(f"alphabet: {exc}") from None
-        n = self.states
-        if len(self.initial) != n:
-            raise QfaFormatError(
-                f"initial: expected {n} entries, found {len(self.initial)}"
-            )
-        initial = tuple(
-            _parse_complex(pair, f"initial[{i}]")
-            for i, pair in enumerate(self.initial)
-        )
-        accepting = []
-        for i, q in enumerate(self.accepting):
-            accepting.append(_require_int(q, f"accepting[{i}]", 0))
-        transitions = {}
-        for key, matrix in self.transitions.items():
-            if not isinstance(key, str) or not _context_shape_ok(
-                key, alphabet, self.k
-            ):
-                raise QfaFormatError(f"transitions: malformed context {key!r}")
-            transitions[key] = _parse_matrix(matrix, n, f"transitions[{key!r}]")
-        automaton = KLetterQFA(
-            n=n,
-            alphabet=alphabet,
-            k=self.k,
-            initial=initial,
-            accepting=frozenset(accepting),
-            transitions=transitions,
-        )
-        problems = validate(automaton)
-        if problems:
-            raise QfaFormatError("; ".join(problems))
-        return automaton
-
-
 def parse_qfa(text: str) -> KLetterQFA:
     """Parse and validate a document; the result is always a valid
-    automaton."""
+    automaton, and any problem raises QfaFormatError naming its location."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QfaFormatError(f"invalid JSON: {exc}") from None
-    return QfaDocument.from_json_dict(obj).to_qfa()
+    if not isinstance(obj, dict):
+        raise QfaFormatError("document: expected a JSON object")
+    for name in _DOCUMENT_FIELDS:
+        if name not in obj:
+            raise QfaFormatError(f"document: missing field {name!r}")
+    for name in obj:
+        if name not in _DOCUMENT_FIELDS:
+            raise QfaFormatError(f"document: unknown field {name!r}")
+    version = _require_int(obj["format_version"], "format_version", 1)
+    if version != FORMAT_VERSION:
+        raise QfaFormatError(
+            f"format_version: unsupported version {version}, "
+            f"expected {FORMAT_VERSION}"
+        )
+    if not isinstance(obj["alphabet"], list):
+        raise QfaFormatError("alphabet: expected a list of symbols")
+    if not isinstance(obj["initial"], list):
+        raise QfaFormatError("initial: expected a list of [re, im] pairs")
+    if not isinstance(obj["accepting"], list):
+        raise QfaFormatError("accepting: expected a list of state indices")
+    if not isinstance(obj["transitions"], dict):
+        raise QfaFormatError("transitions: expected an object")
+    k = _require_int(obj["k"], "k", 1)
+    n = _require_int(obj["states"], "states", 1)
+    try:
+        alphabet = Alphabet(obj["alphabet"])
+    except ValueError as exc:
+        raise QfaFormatError(f"alphabet: {exc}") from None
+    if len(obj["initial"]) != n:
+        raise QfaFormatError(
+            f"initial: expected {n} entries, found {len(obj['initial'])}"
+        )
+    initial = tuple(
+        _parse_complex(pair, f"initial[{i}]") for i, pair in enumerate(obj["initial"])
+    )
+    accepting = frozenset(
+        _require_int(q, f"accepting[{i}]", 0) for i, q in enumerate(obj["accepting"])
+    )
+    transitions = {}
+    for key, matrix in obj["transitions"].items():
+        if not _context_shape_ok(key, alphabet, k):
+            raise QfaFormatError(f"transitions: malformed context {key!r}")
+        transitions[key] = _parse_matrix(matrix, n, f"transitions[{key!r}]")
+    # Every well-shaped key is a reachable context, so if any context is
+    # absent, one of the first len(transitions) + 1 in context order is.
+    # Looking no further keeps a short document with a large k from
+    # enumerating all m + ... + m**k contexts; with no key at all, even the
+    # first context (k characters) is not bounded by the document's size.
+    if not transitions:
+        raise QfaFormatError("transitions: expected one matrix per context, found none")
+    for ctx in itertools.islice(_iter_contexts(alphabet, k), len(transitions) + 1):
+        if ctx not in transitions:
+            raise QfaFormatError(f"transitions: missing context {ctx!r}")
+    automaton = KLetterQFA(n, alphabet, k, initial, accepting, transitions)
+    problems = validate(automaton)
+    if problems:
+        raise QfaFormatError("; ".join(problems))
+    return automaton
 
 
 def serialize_qfa(a: KLetterQFA) -> str:
     """Serialize to the canonical document text; parse_qfa inverts this
     field-for-field."""
-    return json.dumps(QfaDocument.from_qfa(a).to_json_dict(), indent=2) + "\n"
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "k": a.k,
+        "alphabet": list(a.alphabet.symbols),
+        "states": a.n,
+        "initial": [_format_complex(z) for z in a.initial],
+        "accepting": sorted(a.accepting),
+        "transitions": {
+            ctx: [[_format_complex(z) for z in row] for row in a.transitions[ctx].data]
+            for ctx in reachable_contexts(a.alphabet, a.k)
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_qfa(path) -> KLetterQFA:

@@ -176,7 +176,7 @@ def vector_is_zero(v: Vector) -> bool:
     return not any(v)
 
 
-def norm_sq(v: Vector) -> Fraction:
+def norm_sq(v: Iterable[GaussianRational]) -> Fraction:
     """Squared Euclidean norm as an exact rational."""
     total = Fraction(0)
     for x in v:

@@ -114,12 +114,15 @@ def reachable_contexts(alphabet: Alphabet, k: int) -> list[str]:
     """
     if k < 1:
         raise ValueError("window width k must be at least 1")
-    out = []
+    return list(_iter_contexts(alphabet, k))
+
+
+def _iter_contexts(alphabet: Alphabet, k: int) -> Iterator[str]:
+    """The contexts of :func:`reachable_contexts`, in order, one at a time."""
     for j in range(1, k + 1):
         pad = LAMBDA * (k - j)
         for letters in itertools.product(alphabet.symbols, repeat=j):
-            out.append(pad + "".join(letters))
-    return out
+            yield pad + "".join(letters)
 
 
 def _context_at(k: int, word: str, i: int) -> str:
@@ -249,12 +252,7 @@ def accept_prob(a: KLetterQFA, word: str) -> Fraction:
     row = conj_vector(a.initial)
     for i in range(1, len(word) + 1):
         row = row_times_matrix(row, a.transitions[_context_at(a.k, word, i)])
-    total = Fraction(0)
-    for q in a.accepting:
-        x = row[q]
-        if x:
-            total += x.abs_sq()
-    return total
+    return norm_sq(row[q] for q in a.accepting)
 
 
 def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:

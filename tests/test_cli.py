@@ -59,9 +59,15 @@ def test_validate_ok(files, capsys):
     assert "ok:" in capsys.readouterr().out
 
 
-def test_validate_invalid_document(files, capsys):
+def test_validate_invalid_document(files, capsys, tmp_path):
     assert main(["validate", files["broken"]]) == 2
     assert "error:" in capsys.readouterr().err
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    assert main(["validate", str(nested)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON")
+    assert "Traceback" not in err
 
 
 def test_validate_missing_file(files, capsys):
@@ -96,13 +102,20 @@ def test_equiv_identical_files(files, capsys):
 
 def test_equiv_last_letter_vs_always(files, capsys):
     rc = main(["equiv", files["last_letter"], files["always"]])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert "verdict: not_equivalent" in out
-    assert "witness: ''" in out
-    assert "p1: 0/1" in out
-    assert "p2: 1/1" in out
-    assert "bound_used: 18" in out
+    assert lines[-1].startswith("wall_ms: ")
+    assert float(lines[-1].removeprefix("wall_ms: ")) >= 0
+    assert lines[:-1] == [
+        "verdict: not_equivalent",
+        "method: algebraic",
+        "bound_used: 18",
+        "witness: ''",
+        "p1: 0/1",
+        "p2: 1/1",
+        "basis_sizes: 'a'=1, 'b'=1",
+        "nodes_processed: 4",
+    ]
 
 
 def test_equiv_json_schema(files, capsys):
@@ -151,6 +164,7 @@ def test_equiv_bruteforce_method(files, capsys):
     assert rc == 1
     assert "method: bruteforce" in out
     assert "witness: ''" in out
+    assert "bound_used: 4" in out  # the depth compared, not the Theorem 4 bound
     rc = main(
         [
             "equiv",
@@ -163,6 +177,20 @@ def test_equiv_bruteforce_method(files, capsys):
         ]
     )
     assert rc == 0
+    capsys.readouterr()
+    rc = main(
+        [
+            "equiv",
+            files["last_letter"],
+            files["last_letter"],
+            "--method",
+            "bruteforce",
+            "--max-len",
+            "-1",
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --max-len:")
 
 
 def test_equiv_alphabet_mismatch(files, capsys):

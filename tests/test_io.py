@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from qfaeq.io import (
-    QfaDocument,
     QfaFormatError,
     format_rational,
     load_qfa,
@@ -127,6 +126,12 @@ def parse_doc(doc):
 def test_invalid_json_is_positioned():
     with pytest.raises(QfaFormatError, match="invalid JSON"):
         parse_qfa("{not json")
+    # Nesting past the recursion limit, and an integer past Python's
+    # int-conversion limit, are decoder failures too.
+    with pytest.raises(QfaFormatError, match="invalid JSON"):
+        parse_qfa("[" * 200_000)
+    with pytest.raises(QfaFormatError, match="invalid JSON"):
+        parse_qfa('{"states": ' + "1" * 5000 + "}")
 
 
 def test_missing_and_unknown_fields():
@@ -159,6 +164,25 @@ def test_missing_context_detected():
     del doc["transitions"]["ba"]
     with pytest.raises(QfaFormatError, match="missing context 'ba'"):
         parse_doc(doc)
+    # A short document with a wide window names the first absent context
+    # without enumerating all 2 + 4 + ... + 2**20 of them.
+    wide = {
+        "format_version": 1,
+        "k": 20,
+        "alphabet": ["a", "b"],
+        "states": 1,
+        "initial": [["1/1", "0/1"]],
+        "accepting": [0],
+        "transitions": {"_" * 19 + "a": [[["1/1", "0/1"]]]},
+    }
+    with pytest.raises(QfaFormatError) as info:
+        parse_doc(wide)
+    assert "missing context '___________________b'" in str(info.value)
+    assert len(str(info.value)) < 200
+    wide["k"] = 10**30
+    wide["transitions"] = {}
+    with pytest.raises(QfaFormatError, match="transitions: .* found none"):
+        parse_doc(wide)
 
 
 def test_initial_norm_violation():
@@ -228,14 +252,14 @@ def test_bad_alphabet():
 
 
 def test_document_from_qfa_contains_wire_values():
-    doc = QfaDocument.from_qfa(rotation_qfa())
-    assert doc.states == 2
-    assert doc.k == 1
-    assert doc.alphabet == ["a"]
-    assert doc.accepting == [0]
-    assert doc.initial == [["1/1", "0/1"], ["0/1", "0/1"]]
-    assert doc.transitions["a"][0][0] == ["3/5", "0/1"]
-    assert doc.transitions["a"][0][1] == ["-4/5", "0/1"]
+    doc = json.loads(serialize_qfa(rotation_qfa()))
+    assert doc["states"] == 2
+    assert doc["k"] == 1
+    assert doc["alphabet"] == ["a"]
+    assert doc["accepting"] == [0]
+    assert doc["initial"] == [["1/1", "0/1"], ["0/1", "0/1"]]
+    assert doc["transitions"]["a"][0][0] == ["3/5", "0/1"]
+    assert doc["transitions"]["a"][0][1] == ["-4/5", "0/1"]
 
 
 def test_save_and_load_files(tmp_path):

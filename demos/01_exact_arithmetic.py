@@ -2,13 +2,14 @@
 
 Everything downstream rests on arithmetic that never rounds: Gaussian
 rationals (complex numbers with Fraction parts), matrices over them, and
-an incremental basis that answers exact membership questions.
+an incremental basis of rational rows that answers exact membership
+questions.
 """
 
 from fractions import Fraction
 
-from qfaeq import CMatrix, GaussianRational, direct_sum, is_unitary, vector
-from qfaeq.linalg import EchelonBasis, span_insert
+from qfaeq import CMatrix, GaussianRational, direct_sum, is_unitary
+from qfaeq.linalg import span_insert, span_reduce
 
 # A Gaussian rational is re + im*i with both parts Fraction.
 z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
@@ -41,16 +42,19 @@ print("R^2 =", r * r)
 eye = CMatrix.identity(2)
 print("direct_sum(R, I) is 4x4 unitary:", is_unitary(direct_sum(r, eye)))
 
-# The echelon basis tracks a growing span with exact membership tests.
-basis = EchelonBasis(3)
-v1 = vector([1, 2, 3])
-v2 = vector([0, 1, 1])
+# The decision procedure tracks a growing span of rational rows with an
+# exact, fully reduced echelon basis: a dict from pivot column to row,
+# updated in place.
+basis = {}
+v1 = [Fraction(1), Fraction(2), Fraction(3)]
+v2 = [Fraction(0), Fraction(1), Fraction(1)]
 for name, v in [("v1", v1), ("v2", v2)]:
-    added, basis = span_insert(basis, v, tag=name)
+    added = span_insert(basis, v)
     print(f"insert {name}: new direction = {added}, rank = {len(basis)}")
 
 # v1 + 2*v2 is already in the span, so the rank must not move.
-combo = vector([1, 4, 5])
-added, basis = span_insert(basis, combo, tag="combo")
+combo = [Fraction(1), Fraction(4), Fraction(5)]
+added = span_insert(basis, combo)
 print(f"insert v1 + 2*v2: new direction = {added}, rank = {len(basis)}")
-print("pivot columns:", basis.pivots())
+print("residual of v1 + 2*v2:", [str(x) for x in span_reduce(basis, combo)])
+print("pivot columns:", sorted(basis))

@@ -1,13 +1,14 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure joins the two automata into one density-matrix
-difference, then grows a basis of the matrices that words reach, grouped
-by the length-(k-1) suffix of the word that produced each one.  The span
-stops growing after polynomially many insertions, and any probability gap
-shows up as a nonzero accepting diagonal at some recorded word, which
-becomes the witness.
-A brute-force scan over all words up to the length bound double-checks
-the verdicts here.
+The decision procedure runs the two automata side by side on density
+matrices, one Hermitian block each, and reads every word's pair of blocks
+as one row of real rationals.  It grows a basis of those rows, grouped by
+the length-(k-1) suffix of the word that produced each one, visiting words
+in length-then-alphabet order.  The first row whose accepting diagonal
+does not sum to zero ends the search: its word is the least witness.  If
+no row differs, the span stops growing after polynomially many insertions
+and the automata are equivalent.  A brute-force scan over all words up to
+the length bound double-checks the verdicts here.
 """
 
 from qfaeq import (
@@ -40,7 +41,9 @@ phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 b = KLetterQFA(a.n, a.alphabet, a.k,
                tuple(phase * x for x in a.initial),
                a.accepting, a.transitions)
-print("\nphase-scaled copy equivalent:", decide(a, b).equivalent)
+same = decide(a, b)
+same_cap = a.n ** 2 + b.n ** 2 - 1
+print("\nphase-scaled copy equivalent:", same.equivalent)
 
 # Two independent random automata almost always differ somewhere.  This
 # pair happens to agree on the empty word and split on 'a'.
@@ -60,9 +63,14 @@ vb = brute_force(a, c, max_len=8)
 print("  brute-force agrees:", vb == v,
       " least witness:", repr(vb.witness))
 
-# The search itself is small: per-suffix-class basis sizes are capped by
-# the squared joint dimension, and the queue by a polynomial in it.  The
-# verdict carries these counts.
-print("\nsearch statistics for the random pair:")
-print("  class sizes      :", v.basis_sizes)
-print("  vectors processed:", v.nodes_processed)
+# The search itself is small.  Each row holds n1^2 + n2^2 real numbers
+# whose diagonal entries sum to zero, so a suffix class never needs more
+# than n1^2 + n2^2 - 1 rows; the verdict carries the counts.  On the
+# equivalent pair the search ran to the end and seeded every class; on the
+# random pair it stopped at the witness before seeding any.
+print("\nsearch statistics:")
+print("  phase-scaled copy: class sizes", same.basis_sizes,
+      " nodes processed", same.nodes_processed,
+      " per-class cap", same_cap)
+print("  random pair      : class sizes", v.basis_sizes,
+      " nodes processed", v.nodes_processed)

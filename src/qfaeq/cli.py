@@ -32,7 +32,8 @@ __all__ = ["cli_main", "main"]
 
 def _print_report(report: dict, as_json: bool) -> None:
     """Print an equiv report as indented JSON, or as one "key: value" line
-    per field with the witness lines only when there is a witness."""
+    per field with the witness lines only when there is a witness and the
+    basis sizes only when the search seeded a class."""
     if as_json:
         print(json.dumps(report, indent=2))
         return
@@ -42,7 +43,7 @@ def _print_report(report: dict, as_json: bool) -> None:
         lines.append(f"witness: {report['witness']!r}")
         lines.append(f"p1: {report['p1']}")
         lines.append(f"p2: {report['p2']}")
-    if stats["basis_sizes"] is not None:
+    if stats["basis_sizes"]:
         sizes = ", ".join(
             f"{cls!r}={size}" for cls, size in sorted(stats["basis_sizes"].items())
         )

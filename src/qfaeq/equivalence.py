@@ -1,43 +1,43 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure works on a single joined automaton whose state is a
-density-matrix difference.  With psi1 and psi2 the two initial kets it
-starts as the block-diagonal rho = psi1 psi1^dagger (+) -psi2 psi2^dagger,
-and a word x advances it to rho(x) = mubar(x)^dagger rho mubar(x), one step
-rho -> T^dagger rho T per letter over the joined transitions T.  Then
+The decision procedure runs both automata side by side on density
+matrices.  With psi1 and psi2 the two initial kets, it starts from the
+blocks rho1 = psi1 psi1^dagger and rho2 = -psi2 psi2^dagger, and a word x
+advances each block on its own, rho_i(x) = mubar_i(x)^dagger rho_i
+mubar_i(x), one step rho_i -> T_i^dagger rho_i T_i per letter over the
+automaton's lifted transition T_i.  Then
 
-    P1(x) - P2(x)  =  sum of rho(x)_qq over accepting states q
+    P1(x) - P2(x)  =  sum of the accepting diagonal entries of both blocks
 
 and the two automata are equivalent exactly when that sum vanishes for
 every word x.
 
+Both blocks are Hermitian, so the search works on their real coordinates:
+for each block its diagonal, then the real and imaginary parts of every
+entry above the diagonal, n1^2 + n2^2 plain rationals per word.  Complex
+and real spans of Hermitian matrices have the same dimension, so this loses
+nothing.  Because tr rho1(x) = 1 and tr rho2(x) = -1 for every word, each
+row sums to zero on its diagonal coordinates, and a suffix class never
+holds more than n1^2 + n2^2 - 1 independent rows.
+
 Because each step depends on x only through the window governing the next
-letter, the flattened matrices rho(x) can be explored word by word;
-collecting a spanning set per length-(k-1) suffix class visits only
-polynomially many words (see :func:`basis_search`), and no row outside the
-collected spans can introduce a new violation.  :func:`brute_force` is an
-independent oracle that compares acceptance probabilities word by word
-instead.
+letter, the rows can be explored word by word; collecting a spanning set per
+length-(k-1) suffix class visits only polynomially many words (see
+:func:`basis_search`), and no row outside the collected spans can introduce
+a new violation.  The search visits words in length-then-alphabet order and
+stops at the first row with a nonzero accepting sum, which names the least
+counterexample.  :func:`brute_force` is an independent oracle that compares
+acceptance probabilities word by word instead.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import (
-    CMatrix,
-    EchelonBasis,
-    Vector,
-    direct_sum,
-    norm_sq,
-    row_times_matrix,
-    span_insert,
-    vector_is_zero,
-)
+from .linalg import CMatrix, Vector, norm_sq, row_times_matrix, span_insert
 from .qfa import (
     Alphabet,
     KLetterQFA,
@@ -47,7 +47,7 @@ from .qfa import (
     lift,
     reachable_contexts,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO
 
 __all__ = [
     "JointAutomaton",
@@ -59,9 +59,9 @@ __all__ = [
     "decide",
     "extend",
     "join",
+    "real_row",
     "require_shared_alphabet",
     "theorem4_bound",
-    "verdict_from_search",
 ]
 
 
@@ -75,24 +75,32 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     return ((n1 + n2) ** 2 - 1) * m ** (k - 1) + k
 
 
+class QueueItem(NamedTuple):
+    """A word x together with the two blocks rho1(x) and rho2(x)."""
+
+    word: str
+    rho1: CMatrix
+    rho2: CMatrix
+
+
 @dataclass(frozen=True)
 class JointAutomaton:
-    """Both automata run side by side on one density-matrix difference.
+    """Both automata run side by side on their own density-matrix blocks.
 
-    ``transitions`` holds the block-diagonal unitaries of the lifted pair;
-    ``rho`` is the starting n x n matrix psi1 psi1^dagger (+) -psi2
-    psi2^dagger.  ``accept_positions`` are the diagonal positions q*(n+1)
-    of the accepting states in the row-major flattening of a matrix, so
-    summing a flattened rho(x) over them gives P1 - P2 for the word x.
+    ``transitions`` maps every context of the common window width to the
+    lifted unitaries of both automata with their daggers, ``(T1^dagger, T1,
+    T2^dagger, T2)``.  ``start`` is the empty word with the blocks psi1
+    psi1^dagger and -psi2 psi2^dagger.  ``accept_positions`` index the
+    accepting diagonal entries of both blocks in a :func:`real_row`, so
+    summing a row over them gives P1 - P2 for its word.
     """
 
     n1: int
     n2: int
-    n: int
     k: int
     alphabet: Alphabet
     transitions: dict
-    rho: CMatrix
+    start: QueueItem
     accept_positions: tuple
 
 
@@ -117,68 +125,87 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     k = max(a1.k, a2.k)
     l1 = lift(a1, k)
     l2 = lift(a2, k)
-    n1, n2 = a1.n, a2.n
-    n = n1 + n2
-    transitions = {
-        ctx: direct_sum(l1.transitions[ctx], l2.transitions[ctx])
-        for ctx in reachable_contexts(a1.alphabet, k)
-    }
-    rho = direct_sum(
+    transitions = {}
+    for ctx in reachable_contexts(a1.alphabet, k):
+        t1, t2 = l1.transitions[ctx], l2.transitions[ctx]
+        transitions[ctx] = (t1.dagger(), t1, t2.dagger(), t2)
+    start = QueueItem(
+        "",
         _outer(a1.initial, a1.initial),
         _outer(tuple(-x for x in a2.initial), a2.initial),
     )
-    position_set = {q * (n + 1) for q in a1.accepting}
-    position_set.update((n1 + q) * (n + 1) for q in a2.accepting)
+    offset = a1.n * a1.n
+    positions = sorted([*a1.accepting, *(offset + q for q in a2.accepting)])
     return JointAutomaton(
-        n1=n1,
-        n2=n2,
-        n=n,
+        n1=a1.n,
+        n2=a2.n,
         k=k,
         alphabet=a1.alphabet,
         transitions=transitions,
-        rho=rho,
-        accept_positions=tuple(sorted(position_set)),
+        start=start,
+        accept_positions=tuple(positions),
     )
 
 
-class QueueItem(NamedTuple):
-    """A word x together with its joint matrix rho(x)."""
-
-    word: str
-    rho: CMatrix
+def _congruence(t_dag: CMatrix, rho: CMatrix, t: CMatrix) -> CMatrix:
+    """T^dagger rho T for a Hermitian rho.  The result is Hermitian too, so
+    only the entries on and above the diagonal are summed; the ones below
+    are their conjugates."""
+    columns = list(zip(*(rho * t).data))
+    n = len(columns)
+    out = [[None] * n for _ in range(n)]
+    for p, t_row in enumerate(t_dag.data):
+        for q in range(p, n):
+            acc = ZERO
+            for x, y in zip(t_row, columns[q]):
+                if x and y:
+                    acc = acc + x * y
+            out[q][p] = acc.conjugate()
+            out[p][q] = acc
+    return CMatrix(out)
 
 
 def extend(j: JointAutomaton, item: QueueItem, sigma: str) -> QueueItem:
-    """Append one letter, advancing rho to T^dagger rho T for the matching
-    joined transition T."""
+    """Append one letter, advancing each block to T_i^dagger rho_i T_i for
+    the transitions of the matching context."""
     if sigma not in j.alphabet:
         raise ValueError(f"letter {sigma!r} not in alphabet")
     word = item.word + sigma
-    t = j.transitions[_context_at(j.k, word, len(word))]
-    return QueueItem(word, t.dagger() * item.rho * t)
+    t1_dag, t1, t2_dag, t2 = j.transitions[_context_at(j.k, word, len(word))]
+    return QueueItem(
+        word, _congruence(t1_dag, item.rho1, t1), _congruence(t2_dag, item.rho2, t2)
+    )
 
 
-def _flatten(m: CMatrix) -> Vector:
-    """Row-major entries of a matrix, as the row the span search works on."""
-    return tuple(itertools.chain.from_iterable(m.data))
+def real_row(item: QueueItem) -> tuple:
+    """The row the span search works on: for each Hermitian block its
+    diagonal, then the real and imaginary parts of each entry above the
+    diagonal in row-major order, as n1^2 + n2^2 plain Fractions."""
+    row = []
+    for block in (item.rho1, item.rho2):
+        data = block.data
+        row.extend(data[p][p].re for p in range(len(data)))
+        for p, line in enumerate(data):
+            for z in line[p + 1 :]:
+                row.append(z.re)
+                row.append(z.im)
+    return tuple(row)
 
 
 @dataclass
 class SuffixBasisMap:
-    """Everything :func:`basis_search` records.
+    """Everything :func:`basis_search` found.
 
-    A row is a flattened joint matrix rho(x).  ``bases`` maps each
-    length-(k-1) suffix class to the echelon basis of rows collected for it.
-    ``short_records`` holds the rows of all words shorter than k-1 (checked
-    directly, they belong to no class) and ``member_records`` the raw row of
-    every word that entered some basis; both lists are in word order, so the
-    first entry with a nonzero accepting diagonal is the least witness.  ``processed`` counts dequeued
-    search nodes.
+    ``bases`` maps each length-(k-1) suffix class seeded so far to its fully
+    reduced basis, a dict from pivot column to row (see
+    :func:`~qfaeq.linalg.span_insert`).  ``witness`` is the word the search
+    stopped at, the least one whose row has a nonzero accepting sum, or None
+    after a full search.  ``processed`` counts the search nodes past the
+    seeds: the words of length k or more whose rows were checked.
     """
 
-    bases: dict
-    short_records: list = field(default_factory=list)
-    member_records: list = field(default_factory=list)
+    bases: dict = field(default_factory=dict)
+    witness: str | None = None
     processed: int = 0
 
     def basis_sizes(self) -> dict:
@@ -187,49 +214,51 @@ class SuffixBasisMap:
     def total_size(self) -> int:
         return sum(len(b) for b in self.bases.values())
 
-    def records(self):
-        """All recorded (word, row) pairs in word order."""
-        return itertools.chain(self.short_records, self.member_records)
-
 
 def basis_search(j: JointAutomaton) -> SuffixBasisMap:
-    """Collect a spanning set of flattened joint matrices per suffix class.
+    """Collect a spanning set of rows per suffix class, or stop at the least
+    counterexample.
 
-    Words shorter than k-1 cannot head a class and are only recorded.  Each
+    Every row is checked first: the first one, in word order, whose
+    accepting sum is nonzero ends the search with its word as the witness.
+    Words shorter than k-1 cannot head a class and are only checked.  Each
     word of length k-1 seeds its own class's basis with its row.  From
-    length k on, words are taken from a FIFO queue in word order; a word
-    whose row is independent of its class basis is inserted and its one
-    letter extensions are enqueued, a dependent row is discarded.  Every row
-    of every unqueued word is a combination of same-class member rows, which
-    is why the records alone decide equivalence.
+    length k on, words are taken in word order from a FIFO queue of inserted
+    words, one letter extension at a time; a word whose row is independent
+    of its class basis is inserted and queued, a dependent row is discarded.
+    A discarded row is a combination of earlier rows of its class, so it
+    cannot be the first with a nonzero sum, and when no row differs every
+    row of every unqueued word is a combination of same-class rows with sum
+    zero, which is why the search decides equivalence.
     """
     k = j.k
     symbols = j.alphabet.symbols
-    dim = j.n * j.n
-    sbm = SuffixBasisMap(bases={})
-    level = [QueueItem("", j.rho)]
-    for _ in range(k - 1):
-        sbm.short_records.extend((it.word, _flatten(it.rho)) for it in level)
-        level = [extend(j, it, s) for it in level for s in symbols]
-    for it in level:
-        basis = EchelonBasis(dim)
-        row = _flatten(it.rho)
-        if not vector_is_zero(row):
-            _, basis = span_insert(basis, row, it.word)
-            sbm.member_records.append((it.word, row))
-        sbm.bases[it.word] = basis
-    queue = deque(extend(j, it, s) for it in level for s in symbols)
+    positions = j.accept_positions
+    sbm = SuffixBasisMap()
+    level = [j.start]
+    for length in range(k):
+        if length:
+            level = [extend(j, it, s) for it in level for s in symbols]
+        for it in level:
+            row = real_row(it)
+            if sum(row[p] for p in positions):
+                sbm.witness = it.word
+                return sbm
+            if length == k - 1:
+                sbm.bases[it.word] = basis = {}
+                span_insert(basis, row)
+    queue = deque(level)
     while queue:
-        item = queue.popleft()
-        sbm.processed += 1
-        cls = item.word[len(item.word) - k + 1 :]
-        row = _flatten(item.rho)
-        inserted, updated = span_insert(sbm.bases[cls], row, item.word)
-        if inserted:
-            sbm.bases[cls] = updated
-            sbm.member_records.append((item.word, row))
-            for s in symbols:
-                queue.append(extend(j, item, s))
+        parent = queue.popleft()
+        for s in symbols:
+            item = extend(j, parent, s)
+            sbm.processed += 1
+            row = real_row(item)
+            if sum(row[p] for p in positions):
+                sbm.witness = item.word
+                return sbm
+            if span_insert(sbm.bases[item.word[len(item.word) - k + 1 :]], row):
+                queue.append(item)
     return sbm
 
 
@@ -244,9 +273,9 @@ class Verdict:
 
     ``nodes_processed`` counts the search nodes dequeued by :func:`decide`
     or the words compared by :func:`brute_force`; ``basis_sizes`` maps each
-    suffix class to its basis size (``None`` for brute force).  Neither
-    takes part in equality, so two verdicts are equal when they give the
-    same answer.
+    suffix class seeded before the search ended to its basis size (``None``
+    for brute force).  Neither takes part in equality, so two verdicts are
+    equal when they give the same answer.
     """
 
     equivalent: bool
@@ -257,46 +286,19 @@ class Verdict:
     basis_sizes: dict | None = field(default=None, compare=False)
 
 
-def _row_difference(vec: Vector, positions: tuple) -> GaussianRational:
-    total = ZERO
-    for p in positions:
-        x = vec[p]
-        if x:
-            total = total + x
-    return total
-
-
-def verdict_from_search(
-    j: JointAutomaton, sbm: SuffixBasisMap, a1: KLetterQFA, a2: KLetterQFA
-) -> Verdict:
-    """Read the verdict off a finished search.
-
-    The raw recorded rows are checked, not the echelon rows: elimination
-    mixes later words into earlier basis rows, so only an unreduced row
-    ties a nonzero contraction to its own word.
-    """
-    counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
-    for word, vec in sbm.records():
-        if _row_difference(vec, j.accept_positions):
-            return Verdict(
-                equivalent=False,
-                witness=word,
-                p1=accept_prob(a1, word),
-                p2=accept_prob(a2, word),
-                **counts,
-            )
-    return Verdict(equivalent=True, **counts)
-
-
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     """Polynomial-time equivalence decision via the suffix-class search.
 
-    Exact throughout; the verdict carries a concrete witness word and both
+    Exact throughout; the verdict carries the least witness word and both
     acceptance probabilities whenever the automata differ, and the search
     counts either way.
     """
-    j = join(a1, a2)
-    return verdict_from_search(j, basis_search(j), a1, a2)
+    sbm = basis_search(join(a1, a2))
+    counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
+    word = sbm.witness
+    if word is None:
+        return Verdict(equivalent=True, **counts)
+    return Verdict(False, word, accept_prob(a1, word), accept_prob(a2, word), **counts)
 
 
 def brute_force(
@@ -308,12 +310,14 @@ def brute_force(
     but enumeration is exponential in the cap for alphabets of two or more
     symbols; this is a cross-check oracle for small instances, not the
     production procedure.  The witness, if any, is the least differing word
-    in word order.
+    in word order.  A negative cap is a ValueError.
     """
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     if max_len is None:
         max_len = theorem4_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
     checked = 1
     p1 = accept_prob(a1, "")
     p2 = accept_prob(a2, "")

@@ -2,25 +2,24 @@
 
 Matrices are immutable tuples of row tuples.  Row vectors are plain tuples of
 :class:`~qfaeq.scalars.GaussianRational`; helpers below build, conjugate, and
-multiply them without ever leaving exact arithmetic.  The module also provides
-:class:`EchelonBasis`, a fully reduced row-echelon basis that answers span
-membership with a single elimination pass, which is the workhorse of the
-equivalence decision procedure.
+multiply them without ever leaving exact arithmetic.  The module also keeps
+the basis the equivalence decision grows: a fully reduced row-echelon basis
+of rational rows, held as a dict from pivot column to row and updated in
+place by :func:`span_insert`, which answers span membership with a single
+elimination pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .scalars import ONE, ZERO, GaussianRational
 
 __all__ = [
     "Vector",
     "CMatrix",
-    "BasisRow",
-    "EchelonBasis",
     "as_scalar",
     "conj_vector",
     "direct_sum",
@@ -28,6 +27,7 @@ __all__ = [
     "norm_sq",
     "row_times_matrix",
     "span_insert",
+    "span_reduce",
     "unit_vector",
     "vector",
     "vector_is_zero",
@@ -198,89 +198,45 @@ def row_times_matrix(v: Vector, m: CMatrix) -> Vector:
     return tuple(acc)
 
 
-class BasisRow(NamedTuple):
-    """One fully reduced basis row: unit pivot, zero at every other pivot."""
+def span_reduce(basis: dict, row) -> list:
+    """Residual of row after clearing every pivot column of basis, in one
+    pass.
 
-    pivot: int
-    vector: Vector
-    tag: str
-
-
-class EchelonBasis:
-    """A reduced row-echelon basis of row vectors.
-
-    Rows are kept sorted by pivot column, each pivot entry is exactly one,
-    and every row is zero at the pivot columns of all other rows.  With that
-    invariant a single elimination pass decides span membership, and
-    :func:`span_insert` grows the basis by at most one row per call.  Zero
-    rows are never stored, so ``len(basis) <= dimension`` always holds.
+    ``basis`` is a fully reduced row-echelon basis: a dict from pivot column
+    to row, each row exactly one at its pivot and zero at every other
+    pivot.  With that invariant the pivots can be cleared in any order, and
+    the residual is zero exactly when row lies in the span.
     """
-
-    __slots__ = ("dimension", "rows")
-
-    def __init__(self, dimension: int, rows: Iterable[BasisRow] = ()):
-        self.dimension = dimension
-        self.rows = tuple(rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(row.pivot for row in self.rows)
-
-    def tags(self) -> tuple[str, ...]:
-        return tuple(row.tag for row in self.rows)
-
-    def reduce(self, v: Vector) -> list:
-        """Residual of v after clearing every pivot column, in one pass."""
-        if len(v) != self.dimension:
-            raise ValueError(
-                f"vector of length {len(v)} in dimension {self.dimension}"
-            )
-        residual = list(v)
-        for pivot, rowvec, _tag in self.rows:
-            c = residual[pivot]
-            if c:
-                for j, y in enumerate(rowvec):
-                    if y:
-                        residual[j] = residual[j] - c * y
-        return residual
-
-    def contains(self, v: Vector) -> bool:
-        """Exact span-membership test."""
-        return not any(self.reduce(v))
-
-    def __repr__(self) -> str:
-        return f"EchelonBasis(dim={self.dimension}, rank={len(self.rows)})"
+    residual = list(row)
+    for pivot, brow in basis.items():
+        c = residual[pivot]
+        if c:
+            for j, y in enumerate(brow):
+                if y:
+                    residual[j] -= c * y
+    return residual
 
 
-def span_insert(
-    basis: EchelonBasis, v: Vector, tag: str = ""
-) -> tuple[bool, EchelonBasis]:
-    """Insert v into the span if it is independent.
+def span_insert(basis: dict, row) -> bool:
+    """Add row to the span of basis, in place, if it is independent.
 
-    Returns ``(False, basis)`` unchanged when v already lies in the span,
-    otherwise ``(True, basis2)`` where basis2 additionally spans v.  The new
-    row is normalized to a unit pivot and eliminated from all existing rows,
-    preserving the fully reduced invariant.  ``tag`` travels with the row so
-    callers can recover which inserted vector created it.
+    Returns False and leaves basis unchanged when row already lies in the
+    span.  Otherwise the residual is normalized to a unit pivot at its first
+    nonzero column, eliminated from every existing row, and stored under
+    that pivot, which keeps the basis fully reduced; returns True.  Zero rows
+    are never stored, so ``len(basis)`` never exceeds the row length.
     """
-    residual = basis.reduce(v)
+    residual = span_reduce(basis, row)
     pivot = next((i for i, x in enumerate(residual) if x), None)
     if pivot is None:
-        return False, basis
+        return False
     inv = residual[pivot]
-    normalized = tuple(x / inv if x else ZERO for x in residual)
-    new_rows = []
-    for row in basis.rows:
-        c = row.vector[pivot]
+    normalized = [x / inv if x else x for x in residual]
+    entries = [(j, y) for j, y in enumerate(normalized) if y]
+    for brow in basis.values():
+        c = brow[pivot]
         if c:
-            cleared = tuple(
-                x - c * y if y else x
-                for x, y in zip(row.vector, normalized)
-            )
-            row = BasisRow(row.pivot, cleared, row.tag)
-        new_rows.append(row)
-    position = sum(1 for row in new_rows if row.pivot < pivot)
-    new_rows.insert(position, BasisRow(pivot, normalized, tag))
-    return True, EchelonBasis(basis.dimension, new_rows)
+            for j, y in entries:
+                brow[j] -= c * y
+    basis[pivot] = normalized
+    return True

@@ -18,24 +18,20 @@ from functools import partial
 import pytest
 
 from qfaeq.equivalence import (
-    QueueItem,
-    SuffixBasisMap,
     Verdict,
     basis_search,
     brute_force,
     decide,
     extend,
     join,
+    real_row,
     theorem4_bound,
-    verdict_from_search,
 )
 from qfaeq.linalg import (
     CMatrix,
-    EchelonBasis,
     conj_vector,
     norm_sq,
     row_times_matrix,
-    vector_is_zero,
 )
 from qfaeq.qfa import (
     Alphabet,
@@ -148,15 +144,12 @@ class Run:
     basis_sizes: dict
     total_size: int
     processed: int
-    joint_n: int
     joint_k: int
 
 
 def execute_pair(kind, builder, a1, a2):
-    j = join(a1, a2)
-    assert any(not vector_is_zero(row) for row in j.rho.data)
-    sbm = basis_search(j)
-    verdict = verdict_from_search(j, sbm, a1, a2)
+    assert any(real_row(join(a1, a2).start))
+    verdict = decide(a1, a2)
     m = len(a1.alphabet)
     if m == 1:
         cap = None  # the full bound is affordable for unary alphabets
@@ -173,11 +166,10 @@ def execute_pair(kind, builder, a1, a2):
         m=m,
         verdict=verdict,
         brute=brute,
-        basis_sizes=sbm.basis_sizes(),
-        total_size=sbm.total_size(),
-        processed=sbm.processed,
-        joint_n=j.n,
-        joint_k=j.k,
+        basis_sizes=verdict.basis_sizes,
+        total_size=sum(verdict.basis_sizes.values()),
+        processed=verdict.nodes_processed,
+        joint_k=max(a1.k, a2.k),
     )
 
 
@@ -240,9 +232,11 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
                 # the empty word, so any witness has positive length
                 if not r.verdict.equivalent:
                     assert len(r.verdict.witness) >= 1
-        # the public entry point composes exactly these pieces; spot-check it
+        # decide is join and basis_search read off; spot-check the pieces
         for r in runs[::24]:
-            assert decide(r.a1, r.a2) == r.verdict
+            sbm = basis_search(join(r.a1, r.a2))
+            assert sbm.witness == r.verdict.witness
+            assert sbm.basis_sizes() == r.basis_sizes
 
 
 def test_criterion_2_bilinear_identity(acceptance_report):
@@ -274,16 +268,14 @@ def test_criterion_2_bilinear_identity(acceptance_report):
                     words.choice(alphabet.symbols)
                     for _ in range(words.randrange(0, 9))
                 )
-                item = QueueItem("", j.rho)
+                item = j.start
                 for s in word:
                     item = extend(j, item, s)
-                flat = [x for row in item.rho.data for x in row]
-                lhs = GaussianRational(0)
-                for p in j.accept_positions:
-                    lhs = lhs + flat[p]
+                row = real_row(item)
+                lhs = sum((row[p] for p in j.accept_positions), Fraction(0))
                 rhs = accept_prob(a1, word) - accept_prob(a2, word)
-                assert lhs.im == 0
-                assert lhs.re == rhs
+                assert type(lhs) is Fraction
+                assert lhs == rhs
                 samples += 1
         assert samples == 1000
 
@@ -310,18 +302,25 @@ def test_criterion_3_bound_conformance(grid_runs, acceptance_report):
 
 def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
     runs, _ = grid_runs
+    reached = 0
     with criterion(
         acceptance_report,
-        "criterion 4: per-class, total, and queue bounds hold on every "
-        "criterion-1 search",
+        "criterion 4: per-class rank n1^2 + n2^2 - 1, total, and queue "
+        "bounds hold on every criterion-1 search",
     ):
         for r in runs:
-            n_sq = r.joint_n * r.joint_n
+            # real coordinates of two Hermitian blocks whose diagonals sum
+            # to 0: a class spans at most n1^2 + n2^2 - 1 dimensions
+            d = r.a1.n**2 + r.a2.n**2 - 1
             m, k = r.m, r.joint_k
-            assert all(s <= n_sq for s in r.basis_sizes.values())
-            assert r.total_size <= n_sq * m ** (k - 1)
-            assert r.processed <= m**k * (n_sq + 1)
-            assert len(r.basis_sizes) == m ** (k - 1)
+            assert all(s <= d for s in r.basis_sizes.values())
+            assert r.total_size <= d * m ** (k - 1)
+            assert r.processed <= m**k * d
+            if r.verdict.equivalent:
+                # only a full search seeds every class
+                assert len(r.basis_sizes) == m ** (k - 1)
+                reached += d in r.basis_sizes.values()
+        assert reached > 0
 
 
 def test_criterion_5_worked_example(acceptance_report):
@@ -369,10 +368,6 @@ def assert_float_free(obj, seen=None):
     if isinstance(obj, CMatrix):
         assert_float_free(obj.data, seen)
         return
-    if isinstance(obj, EchelonBasis):
-        for row in obj.rows:
-            assert_float_free(tuple(row), seen)
-        return
     if dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             assert_float_free(getattr(obj, field.name), seen)
@@ -419,7 +414,14 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
             assert_float_free(r.a2)
         j = join(sample[0].a1, sample[0].a2)
         assert_float_free(j)
-        assert_float_free(basis_search(j))
+        sbm = basis_search(j)
+        assert_float_free(sbm)
+        # search rows and bases hold plain Fractions only
+        assert all(type(x) is Fraction for x in real_row(j.start))
+        for r in sample:
+            for basis in basis_search(join(r.a1, r.a2)).bases.values():
+                for row in basis.values():
+                    assert all(type(x) is Fraction for x in row)
 
 
 def test_criterion_7_unitarity_and_lift(acceptance_report):

@@ -5,28 +5,23 @@ from fractions import Fraction
 import pytest
 
 from qfaeq.equivalence import (
-    QueueItem,
     basis_search,
     brute_force,
     decide,
     extend,
     join,
+    real_row,
     theorem4_bound,
-    verdict_from_search,
 )
-from qfaeq.linalg import (
-    CMatrix,
-    row_times_matrix,
-    vector_is_zero,
-)
+from qfaeq.linalg import CMatrix, span_reduce
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
-    _context_at,
     accept_prob,
     always_accept_qfa,
     iter_words,
     last_letter_qfa,
+    lift,
     mu_bar,
     random_qfa,
 )
@@ -36,17 +31,14 @@ AB = Alphabet("ab")
 
 
 def trace_difference(j, word):
-    """The accepting diagonal of rho(word), computed from the joint
-    automaton one step per letter and summed over the flattened accepting
-    positions."""
-    item = QueueItem("", j.rho)
+    """The accepting diagonal of both blocks of rho(word), computed from the
+    joint automaton one step per letter and summed over the accepting
+    positions of the real row."""
+    item = j.start
     for s in word:
         item = extend(j, item, s)
-    flat = [x for row in item.rho.data for x in row]
-    total = GaussianRational(0)
-    for p in j.accept_positions:
-        total = total + flat[p]
-    return total
+    row = real_row(item)
+    return sum(row[p] for p in j.accept_positions)
 
 
 def scale_initial(a, phase):
@@ -78,11 +70,13 @@ def test_join_requires_matching_alphabets():
 def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     j = join(a, a)
-    assert (j.n1, j.n2, j.n, j.k) == (1, 1, 2, 1)
-    # The two outer products sit in disjoint diagonal blocks with opposite
-    # signs, so rho is nonzero even for a self-join.
-    assert j.rho == CMatrix([[1, 0], [0, -1]])
-    assert j.accept_positions == (0, 3)
+    assert (j.n1, j.n2, j.k) == (1, 1, 1)
+    # The two outer products are separate blocks with opposite signs, so
+    # the row is nonzero even for a self-join.
+    assert j.start.rho1 == CMatrix([[1]])
+    assert j.start.rho2 == CMatrix([[-1]])
+    assert real_row(j.start) == (1, -1)
+    assert j.accept_positions == (0, 1)
     assert trace_difference(j, "") == 0
     assert trace_difference(j, "aa") == 0
     assert decide(a, a).equivalent
@@ -92,16 +86,22 @@ def test_join_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
     j = join(a1, a2)
-    assert j.n == 3
-    t = j.transitions["a"]
-    assert t.nrows == 3
-    # off-diagonal blocks are zero
-    assert t[0, 2] == 0 and t[1, 2] == 0
-    assert t[2, 0] == 0 and t[2, 1] == 0
-    rho = j.rho
-    assert (rho.nrows, rho.ncols) == (3, 3)
-    assert rho[0, 2] == 0 and rho[1, 2] == 0
-    assert rho[2, 0] == 0 and rho[2, 1] == 0
+    assert (j.n1, j.n2) == (2, 1)
+    # each context keeps both automata's own transitions and their daggers
+    t1_dag, t1, t2_dag, t2 = j.transitions["a"]
+    assert t1 == a1.transitions["a"] and t2 == a2.transitions["a"]
+    assert t1_dag == t1.dagger() and t2_dag == t2.dagger()
+    rho1, rho2 = j.start.rho1, j.start.rho2
+    assert (rho1.nrows, rho1.ncols, rho2.nrows, rho2.ncols) == (2, 2, 1, 1)
+    assert rho1 == rho1.dagger() and rho2 == rho2.dagger()
+    # n1^2 + n2^2 real coordinates: diagonals, then Re and Im above them
+    row = real_row(j.start)
+    assert all(type(x) is Fraction for x in row)
+    assert row == (
+        rho1[0, 0].re, rho1[1, 1].re, rho1[0, 1].re, rho1[0, 1].im,
+        rho2[0, 0].re,
+    )
+    assert set(j.transitions) == {"a", "b"}
 
 
 def test_join_lifts_mixed_window_widths():
@@ -139,89 +139,111 @@ def test_bilinear_identity_on_seeded_samples():
 
 
 def test_rho_steps_match_mu_bar():
-    # rho(x) stepped one letter at a time equals mubar(x)^dagger rho
-    # mubar(x) over the joined transitions.
-    a1 = random_qfa(2, AB, 2, seed=31)
+    # Each block stepped one letter at a time equals mubar_i(x)^dagger
+    # rho_i mubar_i(x) over that automaton's lifted transitions.
+    a1 = random_qfa(2, AB, 1, seed=31)
     a2 = random_qfa(1, AB, 2, seed=32)
     j = join(a1, a2)
-    joint = KLetterQFA(
-        n=j.n,
-        alphabet=j.alphabet,
-        k=j.k,
-        initial=tuple([1] + [0] * (j.n - 1)),
-        accepting=frozenset(),
-        transitions=j.transitions,
-    )
+    l1, l2 = lift(a1, j.k), lift(a2, j.k)
     for word in ["", "a", "ba", "abb"]:
-        m = mu_bar(joint, word)
-        stepped = j.rho
-        for i in range(1, len(word) + 1):
-            t = j.transitions[_context_at(j.k, word, i)]
-            stepped = t.dagger() * stepped * t
-        assert stepped == m.dagger() * j.rho * m
+        item = j.start
+        for s in word:
+            item = extend(j, item, s)
+        m1, m2 = mu_bar(l1, word), mu_bar(l2, word)
+        assert item.rho1 == m1.dagger() * j.start.rho1 * m1
+        assert item.rho2 == m2.dagger() * j.start.rho2 * m2
 
 
 def test_extend_grows_word_and_tracks_vector():
     a = random_qfa(2, AB, 2, seed=13)
     j = join(a, a)
-    item = QueueItem("", j.rho)
-    item = extend(j, item, "a")
+    item = extend(j, j.start, "a")
     item = extend(j, item, "b")
     assert item.word == "ab"
-    t_a, t_b = j.transitions["_a"], j.transitions["ab"]
-    assert item.rho == t_b.dagger() * t_a.dagger() * j.rho * t_a * t_b
+    t_a, t_b = a.transitions["_a"], a.transitions["ab"]
+    for got, start in ((item.rho1, j.start.rho1), (item.rho2, j.start.rho2)):
+        assert got == t_b.dagger() * t_a.dagger() * start * t_a * t_b
     with pytest.raises(ValueError):
         extend(j, item, "z")
 
 
+def class_of(word, k):
+    return word[len(word) - k + 1 :]
+
+
+def with_accepting(a, accepting):
+    return KLetterQFA(a.n, a.alphabet, a.k, a.initial, accepting, a.transitions)
+
+
 def test_basis_search_resource_bounds_and_order():
+    searched = {"full": 0, "stopped": 0}
     for n1, n2, m, k in [(2, 2, 2, 2), (3, 1, 2, 1), (2, 2, 1, 2), (3, 3, 2, 2)]:
         alphabet = Alphabet("ab"[:m])
         a1 = random_qfa(n1, alphabet, k, seed=50 + n1)
         a2 = random_qfa(n2, alphabet, k, seed=60 + n2)
-        j = join(a1, a2)
-        sbm = basis_search(j)
-        n_sq = j.n * j.n
-        assert all(size <= n_sq for size in sbm.basis_sizes().values())
-        assert sbm.total_size() <= n_sq * m ** (k - 1)
-        assert sbm.processed <= m**k * (n_sq + 1)
-        # suffix classes are exactly the length k-1 words
-        assert sorted(sbm.bases) == sorted(
-            "".join(p) for p in itertools.product(alphabet.symbols, repeat=k - 1)
-        )
-        # records are strictly increasing in length-then-alphabet order
-        keys = [
-            (len(w), [alphabet.index(c) for c in w]) for w, _ in sbm.records()
-        ]
-        assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
-        # each member sits in the class of its length k-1 suffix
-        for word, vec in sbm.member_records:
-            cls = word[len(word) - k + 1 :] if len(word) >= k - 1 else word
-            assert cls in sbm.bases
-            assert sbm.bases[cls].contains(vec)
-        # every recorded row is a flattened n x n Hermitian matrix with zero
-        # off-diagonal blocks and trace 0 (tr rho1 = tr rho2 = 1)
-        n, n1 = j.n, j.n1
-        for _word, vec in sbm.records():
-            r = [vec[i * n : (i + 1) * n] for i in range(n)]
-            assert all(
-                r[p][q] == r[q][p].conjugate()
-                for p in range(n)
-                for q in range(n)
+        for b1, b2 in [(a1, a2), (a1, a1), (a2, lift(a2, k + 1))]:
+            j = join(b1, b2)
+            sbm = basis_search(j)
+            # a row has n1^2 + n2^2 real coordinates and its diagonal ones
+            # sum to 0, so a class holds at most n1^2 + n2^2 - 1 rows;
+            # searches that stop early keep within the same bounds
+            d = b1.n**2 + b2.n**2 - 1
+            kk = j.k
+            assert all(size <= d for size in sbm.basis_sizes().values())
+            assert sbm.total_size() <= d * m ** (kk - 1)
+            assert sbm.processed <= m**kk * d
+            diagonal = [*range(b1.n), *range(b1.n**2, b1.n**2 + b2.n)]
+            for basis in sbm.bases.values():
+                for pivot, row in basis.items():
+                    assert len(row) == d + 1
+                    assert all(type(x) is Fraction for x in row)
+                    assert row[pivot] == 1
+                    assert sum(row[p] for p in diagonal) == 0
+            if sbm.witness is not None:
+                searched["stopped"] += 1
+                continue
+            searched["full"] += 1
+            # suffix classes are exactly the length k-1 words
+            assert sorted(sbm.bases) == sorted(
+                "".join(p)
+                for p in itertools.product(alphabet.symbols, repeat=kk - 1)
             )
-            assert all(
-                not r[p][q] for p in range(n1) for q in range(n1, n)
-            )
-            assert sum((r[q][q] for q in range(n)), GaussianRational(0)) == 0
+            # the bases are closed: the row of every word from length k-1
+            # on lies in the span of its class
+            level = [j.start]
+            for length in range(kk + 3):
+                if length >= kk - 1:
+                    for item in level:
+                        basis = sbm.bases[class_of(item.word, kk)]
+                        assert not any(span_reduce(basis, real_row(item)))
+                level = [extend(j, it, s) for it in level for s in alphabet]
+    assert searched == {"full": 9, "stopped": 3}
+
+
+def test_class_rank_reaches_hermitian_bound():
+    # Two automata that accept every word with probability 1 agree, and
+    # only the traces tie their blocks together: with random unitaries a
+    # class reaches n1^2 + n2^2 - 1 rows.
+    for n1, n2, k, sizes in [(2, 3, 1, {"": 12}), (2, 2, 2, {"a": 7, "b": 7})]:
+        a1 = random_qfa(n1, AB, k, seed=1)
+        a2 = random_qfa(n2, AB, k, seed=2)
+        v = decide(with_accepting(a1, range(n1)), with_accepting(a2, range(n2)))
+        assert v.equivalent
+        assert v.basis_sizes == sizes
+        assert v.nodes_processed == 2**k * (n1 * n1 + n2 * n2 - 1)
 
 
 def test_basis_search_records_short_words():
-    a1 = random_qfa(2, AB, 2, seed=71)
-    a2 = random_qfa(2, AB, 2, seed=72)
-    j = join(a1, a2)
+    # Words shorter than k-1 head no class: they are checked, and the search
+    # stops at the first that differs before any class is seeded.
+    j = join(last_letter_qfa(), always_accept_qfa(AB))
+    assert j.k == 2
     sbm = basis_search(j)
-    assert [w for w, _ in sbm.short_records] == [""]
-    assert sbm.short_records[0][1] == tuple(x for row in j.rho.data for x in row)
+    assert (sbm.witness, sbm.processed, sbm.bases) == ("", 0, {})
+    # a pair that agrees on the empty word seeds every class
+    sbm = basis_search(join(last_letter_qfa(), last_letter_qfa()))
+    assert sbm.witness is None
+    assert sorted(sbm.bases) == ["a", "b"]
 
 
 def test_decide_agrees_with_brute_force_small_grid():
@@ -258,6 +280,8 @@ def test_decide_last_letter_vs_always_accept():
     assert not v.equivalent
     assert v.witness == ""
     assert v.p1 == 0 and v.p2 == 1
+    # the search stops at the empty word, before any node or class
+    assert (v.nodes_processed, v.basis_sizes) == (0, {})
     w = brute_force(last_letter_qfa(), always_accept_qfa(AB), max_len=3)
     assert (w.witness, w.p1, w.p2) == ("", Fraction(0), Fraction(1))
 
@@ -320,6 +344,13 @@ def test_brute_force_honors_max_len():
     assert not v.equivalent and v.witness == "a"
 
 
+def test_brute_force_rejects_negative_max_len():
+    a = always_accept_qfa(AB)
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match="max_len must be at least 0"):
+            brute_force(a, a, max_len=cap)
+
+
 def test_brute_force_default_depth_is_the_bound():
     # Unary pair where enumeration to the full bound is cheap.
     a1 = random_qfa(2, Alphabet("a"), 1, seed=201)
@@ -364,28 +395,4 @@ def test_eta_is_never_zero_for_valid_pairs():
         a1 = random_qfa(2, AB, 1, seed=seed)
         a2 = random_qfa(2, AB, 1, seed=seed + 100)
         for j in (join(a1, a2), join(a1, a1)):
-            assert any(not vector_is_zero(row) for row in j.rho.data)
-
-
-def test_verdict_from_search_checks_raw_vectors():
-    # The first record with a nonzero accepting diagonal is the witness; all
-    # earlier records contract to zero.  This pins the raw-vector scan: a
-    # fully reduced basis row could contract nonzero while its tag's own
-    # raw row does not.
-    rng = random.Random(404)
-    for _ in range(10):
-        a1 = random_qfa(2, AB, 2, seed=rng.randrange(10**6))
-        a2 = random_qfa(2, AB, 2, seed=rng.randrange(10**6))
-        j = join(a1, a2)
-        sbm = basis_search(j)
-        v = verdict_from_search(j, sbm, a1, a2)
-        if v.equivalent:
-            continue
-        for word, vec in sbm.records():
-            diff = GaussianRational(0)
-            for p in j.accept_positions:
-                diff = diff + vec[p]
-            if word == v.witness:
-                assert diff != 0
-                break
-            assert diff == 0
+            assert any(real_row(j.start))

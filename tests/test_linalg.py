@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from qfaeq.linalg import (
     CMatrix,
-    EchelonBasis,
     conj_vector,
     direct_sum,
     is_unitary,
     norm_sq,
     row_times_matrix,
     span_insert,
+    span_reduce,
     unit_vector,
     vector,
     vector_is_zero,
@@ -204,90 +204,96 @@ def naive_rank(vectors):
     return rank
 
 
+def random_rational(rng):
+    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+
+def in_span(basis, row):
+    return not any(span_reduce(basis, row))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_span_insert_agrees_with_naive_rank(seed):
     rng = random.Random(seed)
-    dim = rng.randrange(2, 5)
-    basis = EchelonBasis(dim)
+    dim = rng.randrange(2, 6)
+    basis = {}
     seen = []
     for step in range(8):
         if seen and rng.random() < 0.4:
             # a random linear combination, guaranteed dependent
-            v = zero_vector(dim)
+            v = [Fraction(0)] * dim
             for w in seen:
-                c = random_scalar(rng)
-                v = tuple(x + c * y for x, y in zip(v, w))
+                c = random_rational(rng)
+                v = [x + c * y for x, y in zip(v, w)]
         else:
-            v = tuple(random_scalar(rng) for _ in range(dim))
+            v = [random_rational(rng) for _ in range(dim)]
         before = naive_rank(seen)
         after = naive_rank(seen + [v])
-        inserted, basis = span_insert(basis, v, tag=str(step))
+        inserted = span_insert(basis, v)
         assert inserted == (after > before)
         if inserted:
             seen.append(v)
         assert len(basis) == naive_rank(seen)
-        assert basis.contains(v)
+        assert in_span(basis, v)
 
 
 def test_span_insert_zero_vector_is_dependent():
-    basis = EchelonBasis(3)
-    inserted, basis2 = span_insert(basis, zero_vector(3))
-    assert not inserted
-    assert basis2 is basis
+    basis = {}
+    assert not span_insert(basis, [Fraction(0)] * 3)
+    assert basis == {}
+    span_insert(basis, [Fraction(1), Fraction(2), Fraction(0)])
+    before = {pivot: list(row) for pivot, row in basis.items()}
+    assert not span_insert(basis, [Fraction(0)] * 3)
+    assert basis == before
 
 
-def test_span_insert_is_pure():
-    basis0 = EchelonBasis(2)
-    _, basis1 = span_insert(basis0, unit_vector(2, 0), tag="x")
-    assert len(basis0) == 0
-    _, basis2 = span_insert(basis1, unit_vector(2, 1), tag="y")
-    assert len(basis1) == 1
-    assert len(basis2) == 2
-    assert basis1.tags() == ("x",)
-    assert basis2.tags() == ("x", "y")
+def test_span_insert_updates_in_place():
+    basis = {}
+    e0 = [Fraction(1), Fraction(0)]
+    assert span_insert(basis, [Fraction(2), Fraction(4)])
+    first = basis[0]
+    assert first == [1, 2]
+    assert span_insert(basis, [Fraction(0), Fraction(3)])
+    # the older row is eliminated at the new pivot without being replaced
+    assert basis[0] is first
+    assert basis == {0: e0, 1: [0, 1]}
+    # a dependent row changes nothing
+    assert not span_insert(basis, [Fraction(5), Fraction(-7)])
+    assert basis == {0: e0, 1: [0, 1]}
 
 
 def test_contains_detects_linear_combinations():
-    v1 = vector([1, 2, 0])
-    v2 = vector([0, 1, 1])
-    basis = EchelonBasis(3)
-    _, basis = span_insert(basis, v1)
-    _, basis = span_insert(basis, v2)
-    combo = tuple(
-        2 * x - Fraction(1, 3) * y for x, y in zip(v1, v2)
-    )
-    assert basis.contains(combo)
-    assert not basis.contains(vector([0, 0, 1]))
+    v1 = [Fraction(1), Fraction(2), Fraction(0)]
+    v2 = [Fraction(0), Fraction(1), Fraction(1)]
+    basis = {}
+    span_insert(basis, v1)
+    span_insert(basis, v2)
+    combo = [2 * x - Fraction(1, 3) * y for x, y in zip(v1, v2)]
+    assert in_span(basis, combo)
+    assert not in_span(basis, [Fraction(0), Fraction(0), Fraction(1)])
 
 
 def test_echelon_invariant_fully_reduced():
     rng = random.Random(12345)
-    basis = EchelonBasis(4)
-    for i in range(6):
-        v = tuple(random_scalar(rng) for _ in range(4))
-        _, basis = span_insert(basis, v, tag=str(i))
-    pivots = basis.pivots()
-    assert list(pivots) == sorted(pivots)
-    for row in basis.rows:
-        assert row.vector[row.pivot] == ONE
-        for other in basis.rows:
-            if other is not row:
-                assert row.vector[other.pivot] == ZERO
+    basis = {}
+    for _ in range(6):
+        span_insert(basis, [random_rational(rng) for _ in range(5)])
+    assert len(basis) == 5
+    for pivot, row in basis.items():
+        assert all(type(x) is Fraction for x in row)
+        assert row[pivot] == 1
+        for other in basis:
+            if other != pivot:
+                assert row[other] == 0
 
 
 def test_rank_never_exceeds_dimension():
     rng = random.Random(999)
-    basis = EchelonBasis(3)
-    for i in range(10):
-        v = tuple(random_scalar(rng) for _ in range(3))
-        _, basis = span_insert(basis, v)
+    basis = {}
+    for _ in range(10):
+        span_insert(basis, [random_rational(rng) for _ in range(3)])
     assert len(basis) <= 3
     # a full-rank basis contains everything
     if len(basis) == 3:
-        assert basis.contains(vector([7, Fraction(-1, 3), 2]))
-
-
-def test_reduce_dimension_check():
-    with pytest.raises(ValueError):
-        EchelonBasis(3).reduce((ONE,))
+        assert in_span(basis, [Fraction(7), Fraction(-1, 3), Fraction(2)])

@@ -8,7 +8,7 @@ questions.
 
 from fractions import Fraction
 
-from qfaeq import CMatrix, GaussianRational, direct_sum, is_unitary
+from qfaeq import CMatrix, GaussianRational, is_unitary
 from qfaeq.linalg import span_insert, span_reduce
 
 # A Gaussian rational is re + im*i with both parts Fraction.
@@ -37,10 +37,6 @@ r = CMatrix([
 ])
 print("\nR unitary:", is_unitary(r))
 print("R^2 =", r * r)
-
-# Direct sums run two systems side by side, as the equivalence check does.
-eye = CMatrix.identity(2)
-print("direct_sum(R, I) is 4x4 unitary:", is_unitary(direct_sum(r, eye)))
 
 # The decision procedure tracks a growing span of rational rows with an
 # exact, fully reduced echelon basis: a dict from pivot column to row,

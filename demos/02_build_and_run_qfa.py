@@ -12,12 +12,10 @@ from qfaeq import (
     CMatrix,
     KLetterQFA,
     accept_prob,
-    context_for,
     iter_words,
     last_letter_qfa,
     random_qfa,
     reachable_contexts,
-    unit_vector,
     validate,
 )
 
@@ -30,7 +28,7 @@ a = KLetterQFA(
     n=2,
     alphabet=Alphabet("a"),
     k=1,
-    initial=unit_vector(2, 0),
+    initial=(1, 0),
     accepting={0},
     transitions={"a": rot},
 )
@@ -44,12 +42,15 @@ for word in ["", "a", "aa", "aaa"]:
 # Contexts for the first steps carry the '_' padding:
 two = Alphabet("ab")
 print("\ncontexts for k=2 over {a,b}:", reachable_contexts(two, 2))
-ll = last_letter_qfa()
+# The step at position i (from 1) reads the k characters that end just
+# before it in the padded word.
+padded = "_" * 2 + "abb"
 print("context at each position of 'abb':",
-      [context_for(ll, "abb", i) for i in (1, 2, 3)])
+      [padded[i : i + 2] for i in (1, 2, 3)])
 
 # last_letter_qfa accepts exactly the words ending in 'b', built from
 # permutation matrices only.
+ll = last_letter_qfa()
 hits = [w for w in iter_words(two, 3) if accept_prob(ll, w) == 1]
 print("accepted with probability 1, length <= 3:", hits)
 

@@ -7,33 +7,20 @@ decision path.
 """
 
 from .scalars import GaussianRational
-from .linalg import (
-    CMatrix,
-    conj_vector,
-    direct_sum,
-    is_unitary,
-    norm_sq,
-    row_times_matrix,
-    unit_vector,
-    vector,
-    zero_vector,
-)
+from .linalg import CMatrix, is_unitary
 from .qfa import (
     LAMBDA,
     Alphabet,
     KLetterQFA,
     accept_prob,
     always_accept_qfa,
-    context_for,
     iter_words,
     last_letter_qfa,
     lift,
-    mu_bar,
     random_qfa,
     random_unitary,
     reachable_contexts,
     validate,
-    words_of_length,
 )
 from .equivalence import (
     Verdict,
@@ -48,29 +35,19 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianRational",
     "CMatrix",
-    "conj_vector",
-    "direct_sum",
     "is_unitary",
-    "norm_sq",
-    "row_times_matrix",
-    "unit_vector",
-    "vector",
-    "zero_vector",
     "LAMBDA",
     "Alphabet",
     "KLetterQFA",
     "accept_prob",
     "always_accept_qfa",
-    "context_for",
     "iter_words",
     "last_letter_qfa",
     "lift",
-    "mu_bar",
     "random_qfa",
     "random_unitary",
     "reachable_contexts",
     "validate",
-    "words_of_length",
     "Verdict",
     "brute_force",
     "decide",

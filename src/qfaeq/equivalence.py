@@ -37,29 +37,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import CMatrix, Vector, norm_sq, row_times_matrix, span_insert
+from .linalg import CMatrix, Vector, conj_vector, norm_sq, row_times_matrix, span_insert
 from .qfa import (
     Alphabet,
     KLetterQFA,
     _context_at,
     accept_prob,
-    initial_bra,
     lift,
     reachable_contexts,
 )
 from .scalars import ZERO
 
 __all__ = [
-    "JointAutomaton",
-    "QueueItem",
-    "SuffixBasisMap",
     "Verdict",
-    "basis_search",
     "brute_force",
     "decide",
-    "extend",
-    "join",
-    "real_row",
     "require_shared_alphabet",
     "theorem4_bound",
 ]
@@ -95,8 +87,6 @@ class JointAutomaton:
     summing a row over them gives P1 - P2 for its word.
     """
 
-    n1: int
-    n2: int
     k: int
     alphabet: Alphabet
     transitions: dict
@@ -137,8 +127,6 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     offset = a1.n * a1.n
     positions = sorted([*a1.accepting, *(offset + q for q in a2.accepting)])
     return JointAutomaton(
-        n1=a1.n,
-        n2=a2.n,
         k=k,
         alphabet=a1.alphabet,
         transitions=transitions,
@@ -168,8 +156,6 @@ def _congruence(t_dag: CMatrix, rho: CMatrix, t: CMatrix) -> CMatrix:
 def extend(j: JointAutomaton, item: QueueItem, sigma: str) -> QueueItem:
     """Append one letter, advancing each block to T_i^dagger rho_i T_i for
     the transitions of the matching context."""
-    if sigma not in j.alphabet:
-        raise ValueError(f"letter {sigma!r} not in alphabet")
     word = item.word + sigma
     t1_dag, t1, t2_dag, t2 = j.transitions[_context_at(j.k, word, len(word))]
     return QueueItem(
@@ -210,9 +196,6 @@ class SuffixBasisMap:
 
     def basis_sizes(self) -> dict:
         return {w: len(b) for w, b in self.bases.items()}
-
-    def total_size(self) -> int:
-        return sum(len(b) for b in self.bases.values())
 
 
 def basis_search(j: JointAutomaton) -> SuffixBasisMap:
@@ -323,7 +306,7 @@ def brute_force(
     p2 = accept_prob(a2, "")
     if p1 != p2:
         return Verdict(False, "", p1, p2, nodes_processed=checked)
-    level = [("", initial_bra(a1), initial_bra(a2))]
+    level = [("", conj_vector(a1.initial), conj_vector(a2.initial))]
     for length in range(1, max_len + 1):
         nxt = []
         for word, v1, v2 in level:

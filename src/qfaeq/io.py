@@ -39,7 +39,6 @@ from .qfa import (
 from .scalars import GaussianRational
 
 __all__ = [
-    "FORMAT_VERSION",
     "QfaFormatError",
     "format_rational",
     "load_qfa",

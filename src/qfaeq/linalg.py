@@ -20,18 +20,13 @@ from .scalars import ONE, ZERO, GaussianRational
 __all__ = [
     "Vector",
     "CMatrix",
-    "as_scalar",
     "conj_vector",
-    "direct_sum",
     "is_unitary",
     "norm_sq",
     "row_times_matrix",
     "span_insert",
     "span_reduce",
-    "unit_vector",
     "vector",
-    "vector_is_zero",
-    "zero_vector",
 ]
 
 Vector = tuple
@@ -49,9 +44,9 @@ def as_scalar(value) -> GaussianRational:
 class CMatrix:
     """An immutable matrix of Gaussian rationals.
 
-    ``data`` is a tuple of row tuples.  Multiplication, conjugation, and the
-    direct-sum construction all stay exact; there is no floating-point path
-    anywhere in this class.
+    ``data`` is a tuple of row tuples.  Multiplication and the conjugate
+    transpose stay exact; there is no floating-point path anywhere in this
+    class.
     """
 
     __slots__ = ("nrows", "ncols", "data")
@@ -80,9 +75,6 @@ class CMatrix:
     def __getitem__(self, index: tuple[int, int]) -> GaussianRational:
         i, j = index
         return self.data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
@@ -115,14 +107,6 @@ class CMatrix:
             rows.append(acc)
         return CMatrix(rows)
 
-    def transpose(self) -> "CMatrix":
-        return CMatrix(zip(*self.data))
-
-    def conjugate(self) -> "CMatrix":
-        return CMatrix(
-            tuple(x.conjugate() for x in row) for row in self.data
-        )
-
     def dagger(self) -> "CMatrix":
         """Conjugate transpose."""
         return CMatrix(
@@ -136,19 +120,6 @@ class CMatrix:
         return f"CMatrix[{rows}]"
 
 
-def direct_sum(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Block-diagonal sum of two square matrices."""
-    if not a.is_square or not b.is_square:
-        raise ValueError("direct_sum needs square blocks")
-    n1, n2 = a.nrows, b.nrows
-    rows = []
-    for arow in a.data:
-        rows.append(arow + (ZERO,) * n2)
-    for brow in b.data:
-        rows.append((ZERO,) * n1 + brow)
-    return CMatrix(rows)
-
-
 def is_unitary(a: CMatrix) -> bool:
     """Exact test that a.dagger() * a is the identity."""
     if not a.is_square:
@@ -160,20 +131,8 @@ def vector(entries: Iterable) -> Vector:
     return tuple(as_scalar(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def conj_vector(v: Vector) -> Vector:
     return tuple(x.conjugate() for x in v)
-
-
-def vector_is_zero(v: Vector) -> bool:
-    return not any(v)
 
 
 def norm_sq(v: Iterable[GaussianRational]) -> Fraction:

@@ -40,8 +40,6 @@ __all__ = [
     "KLetterQFA",
     "accept_prob",
     "always_accept_qfa",
-    "context_for",
-    "initial_bra",
     "iter_words",
     "last_letter_qfa",
     "lift",
@@ -50,7 +48,6 @@ __all__ = [
     "random_unitary",
     "reachable_contexts",
     "validate",
-    "words_of_length",
 ]
 
 LAMBDA = "_"
@@ -64,7 +61,7 @@ class Alphabet:
     first by length and then position by position using this symbol order.
     """
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_members")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -80,10 +77,7 @@ class Alphabet:
                 raise ValueError(f"duplicate alphabet symbol {s!r}")
             seen.add(s)
         self.symbols = syms
-        self._index = {s: i for i, s in enumerate(syms)}
-
-    def index(self, symbol: str) -> int:
-        return self._index[symbol]
+        self._members = frozenset(syms)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.symbols)
@@ -92,7 +86,7 @@ class Alphabet:
         return len(self.symbols)
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self._index
+        return symbol in self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alphabet):
@@ -187,8 +181,12 @@ def validate(a: KLetterQFA) -> list[str]:
             problems.append(
                 f"initial vector has squared norm {norm}, expected 1"
             )
-    for q in sorted(a.accepting):
-        if not isinstance(q, int) or not 0 <= q < a.n:
+    # bool is an int subclass, but its document value true fails parse_qfa.
+    bad = [q for q in a.accepting if not isinstance(q, int) or isinstance(q, bool)]
+    for q in sorted(bad, key=repr):
+        problems.append(f"accepting state {q!r} is not an integer")
+    for q in sorted(a.accepting.difference(bad)):
+        if not 0 <= q < a.n:
             problems.append(f"accepting state {q!r} out of range 0..{a.n - 1}")
     if a.k < 1 or a.n < 1:
         return problems
@@ -218,14 +216,6 @@ def _check_word(a: KLetterQFA, word: str) -> None:
             raise ValueError(f"letter {s!r} at position {pos} not in alphabet")
 
 
-def context_for(a: KLetterQFA, word: str, i: int) -> str:
-    """The window content governing the transition at 1-based position i."""
-    _check_word(a, word)
-    if not 1 <= i <= len(word):
-        raise ValueError(f"position {i} outside 1..{len(word)}")
-    return _context_at(a.k, word, i)
-
-
 def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     """Product of the per-position transition unitaries; identity for the
     empty word."""
@@ -236,17 +226,12 @@ def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     return m
 
 
-def initial_bra(a: KLetterQFA) -> Vector:
-    """The conjugated initial vector, as the row a run starts from."""
-    return conj_vector(a.initial)
-
-
 def accept_prob(a: KLetterQFA, word: str) -> Fraction:
     """Exact probability that the automaton accepts the word.
 
-    Equals the squared norm of the accepting coordinates of
-    ``initial_bra(a)`` times ``mu_bar(a, word)``; computed by stepping the
-    row vector once per letter.
+    Equals the squared norm of the accepting coordinates of the conjugated
+    initial vector times ``mu_bar(a, word)``; computed by stepping the row
+    vector once per letter.
     """
     _check_word(a, word)
     row = conj_vector(a.initial)
@@ -406,13 +391,8 @@ def always_accept_qfa(alphabet: Alphabet) -> KLetterQFA:
     )
 
 
-def words_of_length(alphabet: Alphabet, length: int) -> Iterator[str]:
-    """All words of the given length, lexicographically by symbol order."""
-    for letters in itertools.product(alphabet.symbols, repeat=length):
-        yield "".join(letters)
-
-
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
     """All words of length 0..max_len in length-then-lexicographic order."""
     for length in range(max_len + 1):
-        yield from words_of_length(alphabet, length)
+        for letters in itertools.product(alphabet.symbols, repeat=length):
+            yield "".join(letters)

@@ -34,10 +34,6 @@ class GaussianRational:
         """Squared modulus ``re**2 + im**2`` as an exact rational."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,21 +7,41 @@ from pathlib import Path
 import pytest
 
 import qfaeq
+from qfaeq import cli, equivalence, io, linalg, qfa, scalars
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_fresh(args):
+    """Run a Python interpreter that imports the same qfaeq package as this
+    test process."""
+    package_root = str(Path(qfaeq.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=package_root),
+    )
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    # The child imports the same qfaeq package as this test process.
-    package_root = str(Path(qfaeq.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=package_root),
-    )
+    result = run_fresh([str(demo)])
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    result = run_fresh(["-c", blocks[0]])
     assert result.returncode == 0, result.stderr
 
 
 def test_package_exports_resolve():
-    missing = [name for name in qfaeq.__all__ if not hasattr(qfaeq, name)]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in (qfaeq, scalars, linalg, qfa, equivalence, io, cli)
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
     assert missing == []

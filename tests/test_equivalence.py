@@ -70,7 +70,7 @@ def test_join_requires_matching_alphabets():
 def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     j = join(a, a)
-    assert (j.n1, j.n2, j.k) == (1, 1, 1)
+    assert j.k == 1
     # The two outer products are separate blocks with opposite signs, so
     # the row is nonzero even for a self-join.
     assert j.start.rho1 == CMatrix([[1]])
@@ -86,7 +86,6 @@ def test_join_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
     j = join(a1, a2)
-    assert (j.n1, j.n2) == (2, 1)
     # each context keeps both automata's own transitions and their daggers
     t1_dag, t1, t2_dag, t2 = j.transitions["a"]
     assert t1 == a1.transitions["a"] and t2 == a2.transitions["a"]
@@ -163,8 +162,6 @@ def test_extend_grows_word_and_tracks_vector():
     t_a, t_b = a.transitions["_a"], a.transitions["ab"]
     for got, start in ((item.rho1, j.start.rho1), (item.rho2, j.start.rho2)):
         assert got == t_b.dagger() * t_a.dagger() * start * t_a * t_b
-    with pytest.raises(ValueError):
-        extend(j, item, "z")
 
 
 def class_of(word, k):
@@ -190,7 +187,7 @@ def test_basis_search_resource_bounds_and_order():
             d = b1.n**2 + b2.n**2 - 1
             kk = j.k
             assert all(size <= d for size in sbm.basis_sizes().values())
-            assert sbm.total_size() <= d * m ** (kk - 1)
+            assert sum(sbm.basis_sizes().values()) <= d * m ** (kk - 1)
             assert sbm.processed <= m**kk * d
             diagonal = [*range(b1.n), *range(b1.n**2, b1.n**2 + b2.n)]
             for basis in sbm.bases.values():

@@ -9,7 +9,6 @@ from qfaeq.qfa import (
     KLetterQFA,
     accept_prob,
     always_accept_qfa,
-    context_for,
     iter_words,
     last_letter_qfa,
     lift,
@@ -18,7 +17,6 @@ from qfaeq.qfa import (
     random_unitary,
     reachable_contexts,
     validate,
-    words_of_length,
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
@@ -43,23 +41,9 @@ def rotation_qfa():
     )
 
 
-def identity_qfa(alphabet=None, k=1):
-    alphabet = alphabet or Alphabet("a")
-    eye = CMatrix.identity(1)
-    return KLetterQFA(
-        n=1,
-        alphabet=alphabet,
-        k=k,
-        initial=(1,),
-        accepting=frozenset({0}),
-        transitions={ctx: eye for ctx in reachable_contexts(alphabet, k)},
-    )
-
-
 def test_alphabet_rules():
     ab = Alphabet("ab")
     assert list(ab) == ["a", "b"]
-    assert ab.index("b") == 1
     assert "a" in ab and "c" not in ab
     assert Alphabet("ab") == Alphabet(["a", "b"])
     assert Alphabet("ab") != Alphabet("ba")
@@ -93,20 +77,15 @@ def test_reachable_contexts_counts():
         reachable_contexts(Alphabet("a"), 0)
 
 
-def test_context_for_padding_and_window():
-    a = last_letter_qfa()  # k = 2
-    assert context_for(a, "abb", 1) == "_a"
-    assert context_for(a, "abb", 2) == "ab"
-    assert context_for(a, "abb", 3) == "bb"
-    b = identity_qfa(Alphabet("ab"), k=3)
-    assert context_for(b, "ab", 1) == "__a"
-    assert context_for(b, "ab", 2) == "_ab"
+def test_mu_bar_applies_padded_windows():
+    a = random_qfa(2, Alphabet("ab"), 2, seed=5)
+    t = a.transitions
+    assert mu_bar(a, "abb") == t["_a"] * t["ab"] * t["bb"]
+    b = random_qfa(2, Alphabet("ab"), 3, seed=6)
+    t = b.transitions
+    assert mu_bar(b, "ab") == t["__a"] * t["_ab"]
     with pytest.raises(ValueError):
-        context_for(a, "ab", 0)
-    with pytest.raises(ValueError):
-        context_for(a, "ab", 3)
-    with pytest.raises(ValueError):
-        context_for(a, "xz", 1)
+        mu_bar(a, "xz")
 
 
 def test_mu_bar_empty_word_is_identity():
@@ -127,10 +106,8 @@ def test_mu_bar_rotation_squared_by_hand():
 
 def test_mu_bar_one_step_recurrence():
     a = random_qfa(2, Alphabet("ab"), 2, seed=5)
-    for word in ["a", "ab", "abb", "baba"]:
-        prefix = word[:-1]
-        step = a.transitions[context_for(a, word, len(word))]
-        assert mu_bar(a, word) == mu_bar(a, prefix) * step
+    for word, ctx in [("a", "_a"), ("ab", "ab"), ("abb", "bb"), ("baba", "ba")]:
+        assert mu_bar(a, word) == mu_bar(a, word[:-1]) * a.transitions[ctx]
 
 
 def test_accept_prob_rotation_values():
@@ -141,7 +118,7 @@ def test_accept_prob_rotation_values():
 
 
 def test_accept_prob_identity_automaton_always_one():
-    a = identity_qfa()
+    a = always_accept_qfa(Alphabet("a"))
     for word in ["", "a", "aaaa"]:
         assert accept_prob(a, word) == 1
 
@@ -244,6 +221,14 @@ def test_validate_accepting_out_of_range():
     assert any("accepting state 5" in p for p in validate(bad))
 
 
+def test_validate_accepting_entries_must_be_plain_ints():
+    a = rotation_qfa()
+    mixed = KLetterQFA(2, a.alphabet, 1, a.initial, {0, "x"}, a.transitions)
+    assert validate(mixed) == ["accepting state 'x' is not an integer"]
+    flag = KLetterQFA(2, a.alphabet, 1, a.initial, {True}, a.transitions)
+    assert validate(flag) == ["accepting state True is not an integer"]
+
+
 def test_validate_wrong_matrix_size():
     a = rotation_qfa()
     bad = KLetterQFA(
@@ -332,7 +317,10 @@ def test_word_iteration_order():
         "ba",
         "bb",
     ]
-    assert list(words_of_length(Alphabet("ba"), 2)) == [
+    assert list(iter_words(Alphabet("ba"), 2)) == [
+        "",
+        "b",
+        "a",
         "bb",
         "ba",
         "ab",

@@ -1,8 +1,10 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure runs the two automata side by side on density
-matrices, one Hermitian block each, and reads every word's pair of blocks
-as one row of real rationals.  It grows a basis of those rows, grouped by
+The decision procedure runs the two automata side by side, one row vector
+each, stepped by the automaton's transition unitary T per letter.  The two
+rows v1 and v2 stand for the Hermitian blocks rho1 = v1^dagger v1 and
+rho2 = -v2^dagger v2, which are never formed: every word's pair of blocks
+is read off the rows as one row of real rationals.  It grows a basis of those rows, grouped by
 the length-(k-1) suffix of the word that produced each one, visiting words
 in length-then-alphabet order.  The first row whose accepting diagonal
 does not sum to zero ends the search: its word is the least witness.  If

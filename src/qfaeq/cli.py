@@ -6,7 +6,7 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
     validate FILE                 check a document, violations on stderr
     prob FILE WORD                exact acceptance probability of WORD
     equiv FILE1 FILE2             equivalence check with witness report
-        [--method algebraic|bruteforce] [--json]
+        [--method algebraic|bruteforce [--max-len N]] [--json]
     gen --states N --alphabet CSV --k K --seed S -o FILE
     bound FILE1 FILE2             print the guaranteed search depth
 """
@@ -77,6 +77,8 @@ def _cmd_prob(ns) -> int:
 
 
 def _cmd_equiv(ns) -> int:
+    if ns.max_len is not None and ns.method != "bruteforce":
+        raise QfaFormatError("--max-len: only --method bruteforce takes a depth cap")
     if ns.max_len is not None and ns.max_len < 0:
         raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
     a1, a2 = _load_two(ns.file1, ns.file2)

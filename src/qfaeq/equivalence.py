@@ -1,24 +1,26 @@
 """Deciding whether two automata accept every word with equal probability.
 
-The decision procedure runs both automata side by side on density
-matrices.  With psi1 and psi2 the two initial kets, it starts from the
-blocks rho1 = psi1 psi1^dagger and rho2 = -psi2 psi2^dagger, and a word x
-advances each block on its own, rho_i(x) = mubar_i(x)^dagger rho_i
-mubar_i(x), one step rho_i -> T_i^dagger rho_i T_i per letter over the
-automaton's lifted transition T_i.  Then
+The decision procedure runs both automata side by side, each on its own
+row vector.  With psi1 and psi2 the two initial kets, it starts from the
+rows v1 = psi1^dagger and v2 = psi2^dagger, and a word x advances each row
+on its own, v_i(x) = psi_i^dagger mubar_i(x), one step v_i -> v_i T_i per
+letter over the automaton's lifted transition T_i.  The rows stand for the
+Hermitian blocks rho1(x) = v1(x)^dagger v1(x) and rho2(x) = -v2(x)^dagger
+v2(x), and
 
     P1(x) - P2(x)  =  sum of the accepting diagonal entries of both blocks
 
-and the two automata are equivalent exactly when that sum vanishes for
+so the two automata are equivalent exactly when that sum vanishes for
 every word x.
 
-Both blocks are Hermitian, so the search works on their real coordinates:
-for each block its diagonal, then the real and imaginary parts of every
-entry above the diagonal, n1^2 + n2^2 plain rationals per word.  Complex
-and real spans of Hermitian matrices have the same dimension, so this loses
-nothing.  Because tr rho1(x) = 1 and tr rho2(x) = -1 for every word, each
-row sums to zero on its diagonal coordinates, and a suffix class never
-holds more than n1^2 + n2^2 - 1 independent rows.
+The search works on the real coordinates of the blocks, read off the two
+rows and never formed as matrices: for each block its diagonal, then the
+real and imaginary parts of every entry above the diagonal, n1^2 + n2^2
+plain rationals per word.  Complex and real spans of Hermitian matrices
+have the same dimension, so this loses nothing.  Because tr rho1(x) = 1 and
+tr rho2(x) = -1 for every word, each row sums to zero on its diagonal
+coordinates, and a suffix class never holds more than n1^2 + n2^2 - 1
+independent rows.
 
 Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import CMatrix, Vector, conj_vector, norm_sq, row_times_matrix, span_insert
+from .linalg import Vector, conj_vector, norm_sq, row_times_matrix, span_insert
 from .qfa import (
     Alphabet,
     KLetterQFA,
@@ -46,7 +48,6 @@ from .qfa import (
     lift,
     reachable_contexts,
 )
-from .scalars import ZERO
 
 __all__ = [
     "Verdict",
@@ -58,9 +59,11 @@ __all__ = [
 
 
 def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
-    """Smallest guaranteed search depth: automata with n1 and n2 states over
-    an m-symbol alphabet and window width k that agree on every word of
-    length below this bound agree on all words.
+    """The paper's Theorem 4 search depth: automata with n1 and n2 states
+    over an m-symbol alphabet and window width k that agree on every word
+    of length below this bound agree on all words.  It is a sufficient
+    depth, not the least one: the suffix-class rank bound of
+    :func:`basis_search` gives the smaller (n1^2 + n2^2 - 1) * m^(k-1) + k.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
@@ -68,23 +71,23 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 
 class QueueItem(NamedTuple):
-    """A word x together with the two blocks rho1(x) and rho2(x)."""
+    """A word x together with the two rows v1(x) = psi1^dagger mubar1(x)
+    and v2(x) = psi2^dagger mubar2(x)."""
 
     word: str
-    rho1: CMatrix
-    rho2: CMatrix
+    v1: Vector
+    v2: Vector
 
 
 @dataclass(frozen=True)
 class JointAutomaton:
-    """Both automata run side by side on their own density-matrix blocks.
+    """Both automata run side by side, each on its own row vector.
 
     ``transitions`` maps every context of the common window width to the
-    lifted unitaries of both automata with their daggers, ``(T1^dagger, T1,
-    T2^dagger, T2)``.  ``start`` is the empty word with the blocks psi1
-    psi1^dagger and -psi2 psi2^dagger.  ``accept_positions`` index the
-    accepting diagonal entries of both blocks in a :func:`real_row`, so
-    summing a row over them gives P1 - P2 for its word.
+    lifted unitaries of both automata, ``(T1, T2)``.  ``start`` is the empty
+    word with the rows psi1^dagger and psi2^dagger.  ``accept_positions``
+    index the accepting diagonal entries of both blocks in a
+    :func:`real_row`, so summing a row over them gives P1 - P2 for its word.
     """
 
     k: int
@@ -103,11 +106,6 @@ def require_shared_alphabet(a1: KLetterQFA, a2: KLetterQFA) -> None:
         )
 
 
-def _outer(u: Vector, v: Vector) -> CMatrix:
-    """The matrix u v^dagger of two kets."""
-    return CMatrix([[x * y.conjugate() for y in v] for x in u])
-
-
 def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     """Combine two automata over the same alphabet, lifting the narrower
     window to the wider one first."""
@@ -115,15 +113,11 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     k = max(a1.k, a2.k)
     l1 = lift(a1, k)
     l2 = lift(a2, k)
-    transitions = {}
-    for ctx in reachable_contexts(a1.alphabet, k):
-        t1, t2 = l1.transitions[ctx], l2.transitions[ctx]
-        transitions[ctx] = (t1.dagger(), t1, t2.dagger(), t2)
-    start = QueueItem(
-        "",
-        _outer(a1.initial, a1.initial),
-        _outer(tuple(-x for x in a2.initial), a2.initial),
-    )
+    transitions = {
+        ctx: (l1.transitions[ctx], l2.transitions[ctx])
+        for ctx in reachable_contexts(a1.alphabet, k)
+    }
+    start = QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
     offset = a1.n * a1.n
     positions = sorted([*a1.accepting, *(offset + q for q in a2.accepting)])
     return JointAutomaton(
@@ -135,47 +129,37 @@ def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
     )
 
 
-def _congruence(t_dag: CMatrix, rho: CMatrix, t: CMatrix) -> CMatrix:
-    """T^dagger rho T for a Hermitian rho.  The result is Hermitian too, so
-    only the entries on and above the diagonal are summed; the ones below
-    are their conjugates."""
-    columns = list(zip(*(rho * t).data))
-    n = len(columns)
-    out = [[None] * n for _ in range(n)]
-    for p, t_row in enumerate(t_dag.data):
-        for q in range(p, n):
-            acc = ZERO
-            for x, y in zip(t_row, columns[q]):
-                if x and y:
-                    acc = acc + x * y
-            out[q][p] = acc.conjugate()
-            out[p][q] = acc
-    return CMatrix(out)
-
-
 def extend(j: JointAutomaton, item: QueueItem, sigma: str) -> QueueItem:
-    """Append one letter, advancing each block to T_i^dagger rho_i T_i for
-    the transitions of the matching context."""
+    """Append one letter, advancing each row to v_i T_i for the transitions
+    of the matching context."""
     word = item.word + sigma
-    t1_dag, t1, t2_dag, t2 = j.transitions[_context_at(j.k, word, len(word))]
+    t1, t2 = j.transitions[_context_at(j.k, word, len(word))]
     return QueueItem(
-        word, _congruence(t1_dag, item.rho1, t1), _congruence(t2_dag, item.rho2, t2)
+        word, row_times_matrix(item.v1, t1), row_times_matrix(item.v2, t2)
     )
 
 
+def _block_coordinates(v: Vector):
+    """The real coordinates of v^dagger v, whose (p, q) entry is
+    conj(v_p) v_q: the diagonal |v_p|^2, then the real and imaginary parts
+    of each entry above the diagonal in row-major order."""
+    yield from (x.abs_sq() for x in v)
+    for p, x in enumerate(v):
+        x_bar = x.conjugate()
+        for y in v[p + 1 :]:
+            z = x_bar * y
+            yield z.re
+            yield z.im
+
+
 def real_row(item: QueueItem) -> tuple:
-    """The row the span search works on: for each Hermitian block its
-    diagonal, then the real and imaginary parts of each entry above the
-    diagonal in row-major order, as n1^2 + n2^2 plain Fractions."""
-    row = []
-    for block in (item.rho1, item.rho2):
-        data = block.data
-        row.extend(data[p][p].re for p in range(len(data)))
-        for p, line in enumerate(data):
-            for z in line[p + 1 :]:
-                row.append(z.re)
-                row.append(z.im)
-    return tuple(row)
+    """The row the span search works on: the real coordinates of the blocks
+    rho1 = v1^dagger v1 and rho2 = -v2^dagger v2, read off the two rows
+    without forming either block, as n1^2 + n2^2 plain Fractions."""
+    return (
+        *_block_coordinates(item.v1),
+        *(-c for c in _block_coordinates(item.v2)),
+    )
 
 
 @dataclass
@@ -254,8 +238,9 @@ class Verdict:
     probabilities (for :func:`brute_force`, the least within its length
     cap), and ``p1 != p2`` are those exact probabilities.
 
-    ``nodes_processed`` counts the search nodes dequeued by :func:`decide`
-    or the words compared by :func:`brute_force`; ``basis_sizes`` maps each
+    ``nodes_processed`` counts the rows :func:`decide` checked past the
+    seeds, one per letter for every word it took off its queue, or the
+    words compared by :func:`brute_force`; ``basis_sizes`` maps each
     suffix class seeded before the search ended to its basis size (``None``
     for brute force).  Neither takes part in equality, so two verdicts are
     equal when they give the same answer.

@@ -101,7 +101,9 @@ class Alphabet:
 
 
 def reachable_contexts(alphabet: Alphabet, k: int) -> list[str]:
-    """Every window content a run of length >= k-1 ... can produce.
+    """Every window a run can step on: the last k letters of the word read
+    so far, ending with the letter being read, padded on the left with
+    LAMBDA while the word is shorter than k.
 
     Ordered by number of real letters, then lexicographically; the list has
     m + m**2 + ... + m**k entries for an m-symbol alphabet.

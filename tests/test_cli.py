@@ -192,6 +192,14 @@ def test_equiv_bruteforce_method(files, capsys):
     )
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --max-len:")
+    # the algebraic search has no depth cap: a cap given to it is refused
+    # rather than ignored
+    for method in ([], ["--method", "algebraic"]):
+        argv = ["equiv", files["last_letter"], files["always"], "--max-len", "4"]
+        assert main(argv + method) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-len:")
 
 
 def test_equiv_alphabet_mismatch(files, capsys):

@@ -13,7 +13,7 @@ from qfaeq.equivalence import (
     real_row,
     theorem4_bound,
 )
-from qfaeq.linalg import CMatrix, span_reduce
+from qfaeq.linalg import CMatrix, conj_vector, span_reduce, vector
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -39,6 +39,38 @@ def trace_difference(j, word):
         item = extend(j, item, s)
     row = real_row(item)
     return sum(row[p] for p in j.accept_positions)
+
+
+def reference_vector(a, k, word):
+    """v(word) = psi^dagger mubar(word) as a one-row matrix product over the
+    transitions lifted to width k."""
+    return (CMatrix([conj_vector(a.initial)]) * mu_bar(lift(a, k), word)).data[0]
+
+
+def reference_blocks(a1, a2, k, word):
+    """rho_i(word) = mubar_i^dagger rho_i mubar_i, formed in full from the
+    starting blocks psi1 psi1^dagger and -psi2 psi2^dagger."""
+    blocks = []
+    for a, sign in ((a1, 1), (a2, -1)):
+        m = mu_bar(lift(a, k), word)
+        psi = a.initial
+        start = CMatrix([[sign * x * y.conjugate() for y in psi] for x in psi])
+        blocks.append(m.dagger() * start * m)
+    return blocks
+
+
+def hermitian_coordinates(blocks):
+    """For each block its diagonal, then Re and Im above it, row-major."""
+    row = []
+    for block in blocks:
+        assert block == block.dagger()
+        data = block.data
+        row.extend(data[p][p].re for p in range(len(data)))
+        for p, line in enumerate(data):
+            for z in line[p + 1 :]:
+                row.append(z.re)
+                row.append(z.im)
+    return tuple(row)
 
 
 def scale_initial(a, phase):
@@ -71,10 +103,10 @@ def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     j = join(a, a)
     assert j.k == 1
-    # The two outer products are separate blocks with opposite signs, so
-    # the row is nonzero even for a self-join.
-    assert j.start.rho1 == CMatrix([[1]])
-    assert j.start.rho2 == CMatrix([[-1]])
+    assert j.start.v1 == j.start.v2 == vector([1])
+    # The two blocks have opposite signs, so the row is nonzero even for a
+    # self-join.
+    assert reference_blocks(a, a, 1, "") == [CMatrix([[1]]), CMatrix([[-1]])]
     assert real_row(j.start) == (1, -1)
     assert j.accept_positions == (0, 1)
     assert trace_difference(j, "") == 0
@@ -86,21 +118,21 @@ def test_join_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
     j = join(a1, a2)
-    # each context keeps both automata's own transitions and their daggers
-    t1_dag, t1, t2_dag, t2 = j.transitions["a"]
-    assert t1 == a1.transitions["a"] and t2 == a2.transitions["a"]
-    assert t1_dag == t1.dagger() and t2_dag == t2.dagger()
-    rho1, rho2 = j.start.rho1, j.start.rho2
-    assert (rho1.nrows, rho1.ncols, rho2.nrows, rho2.ncols) == (2, 2, 1, 1)
-    assert rho1 == rho1.dagger() and rho2 == rho2.dagger()
-    # n1^2 + n2^2 real coordinates: diagonals, then Re and Im above them
+    # each context keeps both automata's own transitions
+    assert j.transitions["a"] == (a1.transitions["a"], a2.transitions["a"])
+    assert set(j.transitions) == {"a", "b"}
+    assert j.start.v1 == conj_vector(a1.initial)
+    assert j.start.v2 == conj_vector(a2.initial)
+    # n1^2 + n2^2 real coordinates of the blocks psi1 psi1^dagger and
+    # -psi2 psi2^dagger: diagonals, then Re and Im above them
+    rho1, rho2 = reference_blocks(a1, a2, 1, "")
     row = real_row(j.start)
     assert all(type(x) is Fraction for x in row)
     assert row == (
         rho1[0, 0].re, rho1[1, 1].re, rho1[0, 1].re, rho1[0, 1].im,
         rho2[0, 0].re,
     )
-    assert set(j.transitions) == {"a", "b"}
+    assert row == hermitian_coordinates([rho1, rho2])
 
 
 def test_join_lifts_mixed_window_widths():
@@ -138,19 +170,21 @@ def test_bilinear_identity_on_seeded_samples():
 
 
 def test_rho_steps_match_mu_bar():
-    # Each block stepped one letter at a time equals mubar_i(x)^dagger
-    # rho_i mubar_i(x) over that automaton's lifted transitions.
+    # Each row stepped one letter at a time equals psi_i^dagger mubar_i(x),
+    # and its real row holds the coordinates of mubar_i(x)^dagger rho_i
+    # mubar_i(x) over that automaton's lifted transitions.
     a1 = random_qfa(2, AB, 1, seed=31)
     a2 = random_qfa(1, AB, 2, seed=32)
     j = join(a1, a2)
-    l1, l2 = lift(a1, j.k), lift(a2, j.k)
     for word in ["", "a", "ba", "abb"]:
         item = j.start
         for s in word:
             item = extend(j, item, s)
-        m1, m2 = mu_bar(l1, word), mu_bar(l2, word)
-        assert item.rho1 == m1.dagger() * j.start.rho1 * m1
-        assert item.rho2 == m2.dagger() * j.start.rho2 * m2
+        assert item.v1 == reference_vector(a1, j.k, word)
+        assert item.v2 == reference_vector(a2, j.k, word)
+        assert real_row(item) == hermitian_coordinates(
+            reference_blocks(a1, a2, j.k, word)
+        )
 
 
 def test_extend_grows_word_and_tracks_vector():
@@ -159,9 +193,11 @@ def test_extend_grows_word_and_tracks_vector():
     item = extend(j, j.start, "a")
     item = extend(j, item, "b")
     assert item.word == "ab"
-    t_a, t_b = a.transitions["_a"], a.transitions["ab"]
-    for got, start in ((item.rho1, j.start.rho1), (item.rho2, j.start.rho2)):
-        assert got == t_b.dagger() * t_a.dagger() * start * t_a * t_b
+    t = a.transitions["_a"] * a.transitions["ab"]
+    assert item.v1 == item.v2 == (CMatrix([conj_vector(a.initial)]) * t).data[0]
+    assert real_row(item) == hermitian_coordinates(
+        reference_blocks(a, a, j.k, "ab")
+    )
 
 
 def class_of(word, k):

@@ -4,9 +4,9 @@ The decision procedure runs both automata side by side, each on its own
 row vector.  With psi1 and psi2 the two initial kets, it starts from the
 rows v1 = psi1^dagger and v2 = psi2^dagger, and a word x advances each row
 on its own, v_i(x) = psi_i^dagger mubar_i(x), one step v_i -> v_i T_i per
-letter over the automaton's lifted transition T_i.  The rows stand for the
-Hermitian blocks rho1(x) = v1(x)^dagger v1(x) and rho2(x) = -v2(x)^dagger
-v2(x), and
+letter, with T_i the automaton's own transition for the last k_i letters
+read (padded at the start).  The rows stand for the Hermitian blocks
+rho1(x) = v1(x)^dagger v1(x) and rho2(x) = -v2(x)^dagger v2(x), and
 
     P1(x) - P2(x)  =  sum of the accepting diagonal entries of both blocks
 
@@ -24,12 +24,13 @@ independent rows.
 
 Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
-length-(k-1) suffix class visits only polynomially many words (see
-:func:`basis_search`), and no row outside the collected spans can introduce
-a new violation.  The search visits words in length-then-alphabet order and
-stops at the first row with a nonzero accepting sum, which names the least
-counterexample.  :func:`brute_force` is an independent oracle that compares
-acceptance probabilities word by word instead.
+suffix class, the last k-1 letters for k = max(k1, k2), visits only
+polynomially many words (see :func:`basis_search`), and no row outside the
+collected spans can introduce a new violation.  The search visits words in
+length-then-alphabet order and stops at the first row with a nonzero
+accepting sum, which names the least counterexample.  :func:`brute_force`
+is an independent oracle that compares acceptance probabilities word by
+word instead.
 """
 
 from __future__ import annotations
@@ -40,14 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import Vector, conj_vector, norm_sq, row_times_matrix, span_insert
-from .qfa import (
-    Alphabet,
-    KLetterQFA,
-    _context_at,
-    accept_prob,
-    lift,
-    reachable_contexts,
-)
+from .qfa import KLetterQFA, _context_at, accept_prob
 
 __all__ = [
     "Verdict",
@@ -79,24 +73,6 @@ class QueueItem(NamedTuple):
     v2: Vector
 
 
-@dataclass(frozen=True)
-class JointAutomaton:
-    """Both automata run side by side, each on its own row vector.
-
-    ``transitions`` maps every context of the common window width to the
-    lifted unitaries of both automata, ``(T1, T2)``.  ``start`` is the empty
-    word with the rows psi1^dagger and psi2^dagger.  ``accept_positions``
-    index the accepting diagonal entries of both blocks in a
-    :func:`real_row`, so summing a row over them gives P1 - P2 for its word.
-    """
-
-    k: int
-    alphabet: Alphabet
-    transitions: dict
-    start: QueueItem
-    accept_positions: tuple
-
-
 def require_shared_alphabet(a1: KLetterQFA, a2: KLetterQFA) -> None:
     """Raise ValueError, naming both alphabets in order, unless they match."""
     if a1.alphabet != a2.alphabet:
@@ -106,36 +82,17 @@ def require_shared_alphabet(a1: KLetterQFA, a2: KLetterQFA) -> None:
         )
 
 
-def join(a1: KLetterQFA, a2: KLetterQFA) -> JointAutomaton:
-    """Combine two automata over the same alphabet, lifting the narrower
-    window to the wider one first."""
-    require_shared_alphabet(a1, a2)
-    k = max(a1.k, a2.k)
-    l1 = lift(a1, k)
-    l2 = lift(a2, k)
-    transitions = {
-        ctx: (l1.transitions[ctx], l2.transitions[ctx])
-        for ctx in reachable_contexts(a1.alphabet, k)
-    }
-    start = QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
-    offset = a1.n * a1.n
-    positions = sorted([*a1.accepting, *(offset + q for q in a2.accepting)])
-    return JointAutomaton(
-        k=k,
-        alphabet=a1.alphabet,
-        transitions=transitions,
-        start=start,
-        accept_positions=tuple(positions),
-    )
-
-
-def extend(j: JointAutomaton, item: QueueItem, sigma: str) -> QueueItem:
-    """Append one letter, advancing each row to v_i T_i for the transitions
-    of the matching context."""
+def extend(
+    a1: KLetterQFA, a2: KLetterQFA, item: QueueItem, sigma: str
+) -> QueueItem:
+    """Append one letter, advancing each row to v_i T_i for the transition
+    of its own automaton at the window ending in that letter."""
     word = item.word + sigma
-    t1, t2 = j.transitions[_context_at(j.k, word, len(word))]
+    i = len(word)
     return QueueItem(
-        word, row_times_matrix(item.v1, t1), row_times_matrix(item.v2, t2)
+        word,
+        row_times_matrix(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
+        row_times_matrix(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
     )
 
 
@@ -182,50 +139,45 @@ class SuffixBasisMap:
         return {w: len(b) for w, b in self.bases.items()}
 
 
-def basis_search(j: JointAutomaton) -> SuffixBasisMap:
+def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> SuffixBasisMap:
     """Collect a spanning set of rows per suffix class, or stop at the least
     counterexample.
 
-    Every row is checked first: the first one, in word order, whose
-    accepting sum is nonzero ends the search with its word as the witness.
-    Words shorter than k-1 cannot head a class and are only checked.  Each
-    word of length k-1 seeds its own class's basis with its row.  From
-    length k on, words are taken in word order from a FIFO queue of inserted
-    words, one letter extension at a time; a word whose row is independent
-    of its class basis is inserted and queued, a dependent row is discarded.
+    Each automaton steps on its own window; the common width
+    k = max(k1, k2) only names the suffix classes.  Words come off one FIFO
+    queue in word order, each extended from its parent just before its row
+    is checked, and the first row whose accepting sum is nonzero ends the
+    search with its word as the witness.  A word shorter than k-1 heads no
+    class and is always extended.  From length k-1 on, a row goes into the
+    basis of the class named by its last k-1 letters, and its word is
+    extended only if the row was independent; a dependent row is discarded.
     A discarded row is a combination of earlier rows of its class, so it
     cannot be the first with a nonzero sum, and when no row differs every
-    row of every unqueued word is a combination of same-class rows with sum
-    zero, which is why the search decides equivalence.
+    row of every unextended word is a combination of same-class rows with
+    sum zero, which is why the search decides equivalence.
     """
-    k = j.k
-    symbols = j.alphabet.symbols
-    positions = j.accept_positions
+    require_shared_alphabet(a1, a2)
+    k = max(a1.k, a2.k)
+    symbols = a1.alphabet.symbols
+    positions = [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
+    start = QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
     sbm = SuffixBasisMap()
-    level = [j.start]
-    for length in range(k):
-        if length:
-            level = [extend(j, it, s) for it in level for s in symbols]
-        for it in level:
-            row = real_row(it)
-            if sum(row[p] for p in positions):
-                sbm.witness = it.word
-                return sbm
-            if length == k - 1:
-                sbm.bases[it.word] = basis = {}
-                span_insert(basis, row)
-    queue = deque(level)
+    # pending words as (parent, last letter); the empty word is taken as is
+    queue = deque([(start, None)])
     while queue:
-        parent = queue.popleft()
-        for s in symbols:
-            item = extend(j, parent, s)
+        parent, sigma = queue.popleft()
+        item = parent if sigma is None else extend(a1, a2, parent, sigma)
+        length = len(item.word)
+        if length >= k:
             sbm.processed += 1
-            row = real_row(item)
-            if sum(row[p] for p in positions):
-                sbm.witness = item.word
-                return sbm
-            if span_insert(sbm.bases[item.word[len(item.word) - k + 1 :]], row):
-                queue.append(item)
+        row = real_row(item)
+        if sum(row[p] for p in positions):
+            sbm.witness = item.word
+            return sbm
+        if length < k - 1 or span_insert(
+            sbm.bases.setdefault(item.word[length - k + 1 :], {}), row
+        ):
+            queue.extend((item, s) for s in symbols)
     return sbm
 
 
@@ -238,9 +190,9 @@ class Verdict:
     probabilities (for :func:`brute_force`, the least within its length
     cap), and ``p1 != p2`` are those exact probabilities.
 
-    ``nodes_processed`` counts the rows :func:`decide` checked past the
-    seeds, one per letter for every word it took off its queue, or the
-    words compared by :func:`brute_force`; ``basis_sizes`` maps each
+    ``nodes_processed`` counts the rows :func:`decide` checked for words of
+    length k = max(k1, k2) or more, or the words compared by
+    :func:`brute_force`; ``basis_sizes`` maps each
     suffix class seeded before the search ended to its basis size (``None``
     for brute force).  Neither takes part in equality, so two verdicts are
     equal when they give the same answer.
@@ -261,7 +213,7 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     acceptance probabilities whenever the automata differ, and the search
     counts either way.
     """
-    sbm = basis_search(join(a1, a2))
+    sbm = basis_search(a1, a2)
     counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
     word = sbm.witness
     if word is None:

@@ -62,6 +62,10 @@ _DOCUMENT_FIELDS = (
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# Digits allowed in a numerator or denominator: Python 3.11's default limit
+# on int conversion from text, enforced here on every version.
+_MAX_DIGITS = 4300
+
 
 class QfaFormatError(ValueError):
     """A document failed structural or semantic validation; the message says
@@ -75,16 +79,15 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text, where: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise QfaFormatError(f"{where}: malformed rational {text!r}")
+    if any(len(digits) > _MAX_DIGITS for digits in text.lstrip("-").split("/")):
+        raise QfaFormatError(
+            f"{where}: rational too long ({len(text)} characters)"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise QfaFormatError(
             f"{where}: malformed rational {text!r} (zero denominator)"
-        ) from None
-    except ValueError:
-        # Python caps int conversion from text (4300 digits by default).
-        raise QfaFormatError(
-            f"{where}: rational too long ({len(text)} characters)"
         ) from None
 
 

@@ -12,10 +12,9 @@ elimination pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable
 
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, _coerce
 
 __all__ = [
     "Vector",
@@ -34,11 +33,10 @@ Vector = tuple
 
 def as_scalar(value) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, Rational):
-        return GaussianRational(value)
-    raise TypeError(f"cannot use {value!r} as an exact scalar")
+    scalar = _coerce(value)
+    if scalar is None:
+        raise TypeError(f"cannot use {value!r} as an exact scalar")
+    return scalar
 
 
 class CMatrix:

@@ -18,12 +18,12 @@ from functools import partial
 import pytest
 
 from qfaeq.equivalence import (
+    QueueItem,
     Verdict,
     basis_search,
     brute_force,
     decide,
     extend,
-    join,
     real_row,
     theorem4_bound,
 )
@@ -84,6 +84,17 @@ def permute_states(a, order):
                 rows[order[i]][order[j]] = mat[i, j]
         transitions[ctx] = CMatrix(rows)
     return KLetterQFA(n, a.alphabet, a.k, tuple(initial), accepting, transitions)
+
+
+def start_item(a1, a2):
+    """The empty word with the rows psi1^dagger and psi2^dagger."""
+    return QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
+
+
+def accept_positions(a1, a2):
+    """The accepting diagonal entries of both blocks in a real row: the
+    block of a1 fills the first n1^2 coordinates."""
+    return [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
 
 
 def twist_last_transition(a, seed):
@@ -148,7 +159,7 @@ class Run:
 
 
 def execute_pair(kind, builder, a1, a2):
-    assert any(real_row(join(a1, a2).start))
+    assert any(real_row(start_item(a1, a2)))
     verdict = decide(a1, a2)
     m = len(a1.alphabet)
     if m == 1:
@@ -232,9 +243,9 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
                 # the empty word, so any witness has positive length
                 if not r.verdict.equivalent:
                     assert len(r.verdict.witness) >= 1
-        # decide is join and basis_search read off; spot-check the pieces
+        # decide is basis_search read off; spot-check the pieces
         for r in runs[::24]:
-            sbm = basis_search(join(r.a1, r.a2))
+            sbm = basis_search(r.a1, r.a2)
             assert sbm.witness == r.verdict.witness
             assert sbm.basis_sizes() == r.basis_sizes
 
@@ -261,18 +272,18 @@ def test_criterion_2_bilinear_identity(acceptance_report):
             alphabet = Alphabet("ab"[:m])
             a1 = random_qfa(n1, alphabet, k1, seed=20000 + 17 * i)
             a2 = random_qfa(n2, alphabet, k2, seed=20001 + 17 * i)
-            j = join(a1, a2)
+            positions = accept_positions(a1, a2)
             words = random.Random(30000 + i)
             for _ in range(40):
                 word = "".join(
                     words.choice(alphabet.symbols)
                     for _ in range(words.randrange(0, 9))
                 )
-                item = j.start
+                item = start_item(a1, a2)
                 for s in word:
-                    item = extend(j, item, s)
+                    item = extend(a1, a2, item, s)
                 row = real_row(item)
-                lhs = sum((row[p] for p in j.accept_positions), Fraction(0))
+                lhs = sum((row[p] for p in positions), Fraction(0))
                 rhs = accept_prob(a1, word) - accept_prob(a2, word)
                 assert type(lhs) is Fraction
                 assert lhs == rhs
@@ -404,22 +415,22 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
                 got.append((p.numerator, p.denominator))
             probs.append(got)
         assert probs[0] == probs[1]
-        # nothing in any verdict object, search state, or joint automaton
-        # is a float
+        # nothing in any verdict object, search node or search state is a
+        # float
         sample = runs[::37]
         for r in sample:
             assert_float_free(r.verdict)
             assert_float_free(r.brute)
             assert_float_free(r.a1)
             assert_float_free(r.a2)
-        j = join(sample[0].a1, sample[0].a2)
-        assert_float_free(j)
-        sbm = basis_search(j)
+        start = start_item(sample[0].a1, sample[0].a2)
+        assert_float_free(start)
+        sbm = basis_search(sample[0].a1, sample[0].a2)
         assert_float_free(sbm)
         # search rows and bases hold plain Fractions only
-        assert all(type(x) is Fraction for x in real_row(j.start))
+        assert all(type(x) is Fraction for x in real_row(start))
         for r in sample:
-            for basis in basis_search(join(r.a1, r.a2)).bases.values():
+            for basis in basis_search(r.a1, r.a2).bases.values():
                 for row in basis.values():
                     assert all(type(x) is Fraction for x in row)
 

@@ -5,15 +5,21 @@ from fractions import Fraction
 import pytest
 
 from qfaeq.equivalence import (
+    QueueItem,
     basis_search,
     brute_force,
     decide,
     extend,
-    join,
     real_row,
     theorem4_bound,
 )
-from qfaeq.linalg import CMatrix, conj_vector, span_reduce, vector
+from qfaeq.linalg import (
+    CMatrix,
+    conj_vector,
+    row_times_matrix,
+    span_reduce,
+    vector,
+)
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -24,21 +30,33 @@ from qfaeq.qfa import (
     lift,
     mu_bar,
     random_qfa,
+    random_unitary,
 )
 from qfaeq.scalars import GaussianRational
 
 AB = Alphabet("ab")
 
 
-def trace_difference(j, word):
+def start_item(a1, a2):
+    """The empty word with the rows psi1^dagger and psi2^dagger."""
+    return QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
+
+
+def accept_positions(a1, a2):
+    """The accepting diagonal entries of both blocks in a real row: the
+    block of a1 fills the first n1^2 coordinates."""
+    return [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
+
+
+def trace_difference(a1, a2, word):
     """The accepting diagonal of both blocks of rho(word), computed from the
-    joint automaton one step per letter and summed over the accepting
+    two automata one step per letter and summed over the accepting
     positions of the real row."""
-    item = j.start
+    item = start_item(a1, a2)
     for s in word:
-        item = extend(j, item, s)
+        item = extend(a1, a2, item, s)
     row = real_row(item)
-    return sum(row[p] for p in j.accept_positions)
+    return sum(row[p] for p in accept_positions(a1, a2))
 
 
 def reference_vector(a, k, word):
@@ -91,7 +109,7 @@ def test_theorem4_bound_spot_values():
 
 def test_join_requires_matching_alphabets():
     with pytest.raises(ValueError):
-        join(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
+        basis_search(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
     # same symbols in another order: the message names both alphabets
     ab, ba = always_accept_qfa(AB), always_accept_qfa(Alphabet("ba"))
     for check in (decide, brute_force):
@@ -101,32 +119,33 @@ def test_join_requires_matching_alphabets():
 
 def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
-    j = join(a, a)
-    assert j.k == 1
-    assert j.start.v1 == j.start.v2 == vector([1])
-    # The two blocks have opposite signs, so the row is nonzero even for a
-    # self-join.
+    start = start_item(a, a)
+    assert start.v1 == start.v2 == vector([1])
+    # The two blocks have opposite signs, so the row is nonzero even when
+    # an automaton is paired with itself.
     assert reference_blocks(a, a, 1, "") == [CMatrix([[1]]), CMatrix([[-1]])]
-    assert real_row(j.start) == (1, -1)
-    assert j.accept_positions == (0, 1)
-    assert trace_difference(j, "") == 0
-    assert trace_difference(j, "aa") == 0
+    assert real_row(start) == (1, -1)
+    assert accept_positions(a, a) == [0, 1]
+    assert trace_difference(a, a, "") == 0
+    assert trace_difference(a, a, "aa") == 0
+    # k = 1: a single class, named by the empty suffix
+    sbm = basis_search(a, a)
+    assert (sbm.witness, list(sbm.bases)) == (None, [""])
     assert decide(a, a).equivalent
 
 
 def test_join_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
-    j = join(a1, a2)
-    # each context keeps both automata's own transitions
-    assert j.transitions["a"] == (a1.transitions["a"], a2.transitions["a"])
-    assert set(j.transitions) == {"a", "b"}
-    assert j.start.v1 == conj_vector(a1.initial)
-    assert j.start.v2 == conj_vector(a2.initial)
+    start = start_item(a1, a2)
+    # each row steps on its own automaton's transitions
+    item = extend(a1, a2, start, "a")
+    assert item.v1 == row_times_matrix(start.v1, a1.transitions["a"])
+    assert item.v2 == row_times_matrix(start.v2, a2.transitions["a"])
     # n1^2 + n2^2 real coordinates of the blocks psi1 psi1^dagger and
     # -psi2 psi2^dagger: diagonals, then Re and Im above them
     rho1, rho2 = reference_blocks(a1, a2, 1, "")
-    row = real_row(j.start)
+    row = real_row(start)
     assert all(type(x) is Fraction for x in row)
     assert row == (
         rho1[0, 0].re, rho1[1, 1].re, rho1[0, 1].re, rho1[0, 1].im,
@@ -136,11 +155,24 @@ def test_join_block_structure():
 
 
 def test_join_lifts_mixed_window_widths():
-    a1 = random_qfa(2, AB, 1, seed=7)
-    a2 = random_qfa(2, AB, 2, seed=8)
-    j = join(a1, a2)
-    assert j.k == 2
-    assert set(j.transitions) == {"_a", "_b", "aa", "ab", "ba", "bb"}
+    # Each automaton steps on its own window; lifting both to the common
+    # width first changes no check, no count and no basis row.
+    a = random_qfa(3, AB, 1, seed=5)
+    b = lift(a, 2)
+    twist = random_unitary(3, random.Random(9))
+    twisted = KLetterQFA(
+        b.n, b.alphabet, 2, b.initial, b.accepting,
+        {**b.transitions, "bb": b.transitions["bb"] * twist},
+    )
+    pairs = [(a, b), (a, random_qfa(2, AB, 2, seed=8)), (a, twisted)]
+    witnesses = []
+    for a1, a2 in pairs:
+        k = max(a1.k, a2.k)
+        assert (a1.k, a2.k) == (1, 2)
+        sbm = basis_search(a1, a2)
+        assert sbm == basis_search(lift(a1, k), lift(a2, k))
+        witnesses.append(sbm.witness)
+    assert witnesses == [None, "a", "bb"]
 
 
 def test_bilinear_identity_on_seeded_samples():
@@ -156,13 +188,12 @@ def test_bilinear_identity_on_seeded_samples():
         alphabet = Alphabet("ab"[:m])
         a1 = random_qfa(n1, alphabet, k1, seed=rng.randrange(10**6))
         a2 = random_qfa(n2, alphabet, k2, seed=rng.randrange(10**6))
-        j = join(a1, a2)
         for _ in range(8):
             word = "".join(
                 rng.choice(alphabet.symbols)
                 for _ in range(rng.randrange(0, 7))
             )
-            lhs = trace_difference(j, word)
+            lhs = trace_difference(a1, a2, word)
             rhs = accept_prob(a1, word) - accept_prob(a2, word)
             assert lhs == rhs
             cases += 1
@@ -172,31 +203,31 @@ def test_bilinear_identity_on_seeded_samples():
 def test_rho_steps_match_mu_bar():
     # Each row stepped one letter at a time equals psi_i^dagger mubar_i(x),
     # and its real row holds the coordinates of mubar_i(x)^dagger rho_i
-    # mubar_i(x) over that automaton's lifted transitions.
+    # mubar_i(x), with mubar_i over that automaton's transitions lifted to
+    # the common width.
     a1 = random_qfa(2, AB, 1, seed=31)
     a2 = random_qfa(1, AB, 2, seed=32)
-    j = join(a1, a2)
+    k = 2
     for word in ["", "a", "ba", "abb"]:
-        item = j.start
+        item = start_item(a1, a2)
         for s in word:
-            item = extend(j, item, s)
-        assert item.v1 == reference_vector(a1, j.k, word)
-        assert item.v2 == reference_vector(a2, j.k, word)
+            item = extend(a1, a2, item, s)
+        assert item.v1 == reference_vector(a1, k, word)
+        assert item.v2 == reference_vector(a2, k, word)
         assert real_row(item) == hermitian_coordinates(
-            reference_blocks(a1, a2, j.k, word)
+            reference_blocks(a1, a2, k, word)
         )
 
 
 def test_extend_grows_word_and_tracks_vector():
     a = random_qfa(2, AB, 2, seed=13)
-    j = join(a, a)
-    item = extend(j, j.start, "a")
-    item = extend(j, item, "b")
+    item = extend(a, a, start_item(a, a), "a")
+    item = extend(a, a, item, "b")
     assert item.word == "ab"
     t = a.transitions["_a"] * a.transitions["ab"]
     assert item.v1 == item.v2 == (CMatrix([conj_vector(a.initial)]) * t).data[0]
     assert real_row(item) == hermitian_coordinates(
-        reference_blocks(a, a, j.k, "ab")
+        reference_blocks(a, a, a.k, "ab")
     )
 
 
@@ -215,13 +246,12 @@ def test_basis_search_resource_bounds_and_order():
         a1 = random_qfa(n1, alphabet, k, seed=50 + n1)
         a2 = random_qfa(n2, alphabet, k, seed=60 + n2)
         for b1, b2 in [(a1, a2), (a1, a1), (a2, lift(a2, k + 1))]:
-            j = join(b1, b2)
-            sbm = basis_search(j)
+            sbm = basis_search(b1, b2)
             # a row has n1^2 + n2^2 real coordinates and its diagonal ones
             # sum to 0, so a class holds at most n1^2 + n2^2 - 1 rows;
             # searches that stop early keep within the same bounds
             d = b1.n**2 + b2.n**2 - 1
-            kk = j.k
+            kk = max(b1.k, b2.k)
             assert all(size <= d for size in sbm.basis_sizes().values())
             assert sum(sbm.basis_sizes().values()) <= d * m ** (kk - 1)
             assert sbm.processed <= m**kk * d
@@ -243,13 +273,15 @@ def test_basis_search_resource_bounds_and_order():
             )
             # the bases are closed: the row of every word from length k-1
             # on lies in the span of its class
-            level = [j.start]
+            level = [start_item(b1, b2)]
             for length in range(kk + 3):
                 if length >= kk - 1:
                     for item in level:
                         basis = sbm.bases[class_of(item.word, kk)]
                         assert not any(span_reduce(basis, real_row(item)))
-                level = [extend(j, it, s) for it in level for s in alphabet]
+                level = [
+                    extend(b1, b2, it, s) for it in level for s in alphabet
+                ]
     assert searched == {"full": 9, "stopped": 3}
 
 
@@ -269,12 +301,11 @@ def test_class_rank_reaches_hermitian_bound():
 def test_basis_search_records_short_words():
     # Words shorter than k-1 head no class: they are checked, and the search
     # stops at the first that differs before any class is seeded.
-    j = join(last_letter_qfa(), always_accept_qfa(AB))
-    assert j.k == 2
-    sbm = basis_search(j)
+    assert last_letter_qfa().k == 2
+    sbm = basis_search(last_letter_qfa(), always_accept_qfa(AB))
     assert (sbm.witness, sbm.processed, sbm.bases) == ("", 0, {})
     # a pair that agrees on the empty word seeds every class
-    sbm = basis_search(join(last_letter_qfa(), last_letter_qfa()))
+    sbm = basis_search(last_letter_qfa(), last_letter_qfa())
     assert sbm.witness is None
     assert sorted(sbm.bases) == ["a", "b"]
 
@@ -427,5 +458,5 @@ def test_eta_is_never_zero_for_valid_pairs():
     for seed in range(5):
         a1 = random_qfa(2, AB, 1, seed=seed)
         a2 = random_qfa(2, AB, 1, seed=seed + 100)
-        for j in (join(a1, a2), join(a1, a1)):
-            assert any(real_row(j.start))
+        for b1, b2 in ((a1, a2), (a1, a1)):
+            assert any(real_row(start_item(b1, b2)))

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,30 @@ def test_oversized_rational_is_located():
     doc["initial"][0][0] = "1" * 5000
     with pytest.raises(QfaFormatError, match=r"initial\[0\]\[0\]"):
         parse_doc(doc)
+
+
+def test_rational_digit_cap_holds_without_interpreter_limit():
+    # Python 3.10 has no int-conversion limit; lifting it here shows the
+    # parser enforces its own cap of 4300 digits per part.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_rational("-" + "7" * 4300) == -int("7" * 4300)
+        assert parse_rational("1/" + "3" * 4300) == Fraction(1, int("3" * 4300))
+        for text in ("1" * 5000, "1/" + "3" * 4301):
+            with pytest.raises(
+                QfaFormatError,
+                match=rf"^x: rational too long \({len(text)} characters\)$",
+            ):
+                parse_rational(text, "x")
+        doc = base_document()
+        doc["initial"][0][0] = "1" * 5000
+        with pytest.raises(
+            QfaFormatError, match=r"initial\[0\]\[0\]: rational too long"
+        ):
+            parse_doc(doc)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_wrong_matrix_shape():

@@ -49,8 +49,9 @@ def test_constructor_rejects_ragged_and_empty():
         CMatrix([])
     with pytest.raises(ValueError):
         CMatrix([[]])
-    with pytest.raises(TypeError):
-        CMatrix([[0.5]])
+    for inexact in (0.5, None):
+        with pytest.raises(TypeError, match="exact scalar"):
+            CMatrix([[inexact]])
 
 
 def test_identity_and_indexing():

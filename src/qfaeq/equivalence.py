@@ -56,8 +56,11 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     """The paper's Theorem 4 search depth: automata with n1 and n2 states
     over an m-symbol alphabet and window width k that agree on every word
     of length below this bound agree on all words.  It is a sufficient
-    depth, not the least one: the suffix-class rank bound of
-    :func:`basis_search` gives the smaller (n1^2 + n2^2 - 1) * m^(k-1) + k.
+    depth, not the least one: :func:`basis_search` checks no word longer
+    than R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total
+    rank of its suffix classes, because a checked word of length L >= k - 1
+    has L - k + 1 ancestors of lengths k - 1 .. L - 1, each inserted and so
+    adding one to that rank.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")

@@ -43,7 +43,6 @@ __all__ = [
     "iter_words",
     "last_letter_qfa",
     "lift",
-    "mu_bar",
     "random_qfa",
     "random_unitary",
     "reachable_contexts",
@@ -218,22 +217,12 @@ def _check_word(a: KLetterQFA, word: str) -> None:
             raise ValueError(f"letter {s!r} at position {pos} not in alphabet")
 
 
-def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
-    """Product of the per-position transition unitaries; identity for the
-    empty word."""
-    _check_word(a, word)
-    m = CMatrix.identity(a.n)
-    for i in range(1, len(word) + 1):
-        m = m * a.transitions[_context_at(a.k, word, i)]
-    return m
-
-
 def accept_prob(a: KLetterQFA, word: str) -> Fraction:
     """Exact probability that the automaton accepts the word.
 
     Equals the squared norm of the accepting coordinates of the conjugated
-    initial vector times ``mu_bar(a, word)``; computed by stepping the row
-    vector once per letter.
+    initial vector times the product of the word's transition unitaries;
+    computed by stepping the row vector once per letter.
     """
     _check_word(a, word)
     row = conj_vector(a.initial)
@@ -261,6 +250,11 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     return KLetterQFA(a.n, a.alphabet, new_k, a.initial, a.accepting, transitions)
 
 
+# Caps on what the generator builds, so that an oversized request fails at
+# once instead of running without bound.
+_MAX_RANDOM_STATES = 64
+_MAX_RANDOM_CONTEXTS = 4096
+
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled
 # Pythagorean pairs give rotation entries whose squares sum to one.
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41))
@@ -283,53 +277,40 @@ def _random_phase(rng: random.Random) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _rotation_factor(n: int, rng: random.Random) -> CMatrix:
-    p, q = sorted(rng.sample(range(n), 2))
-    a, b, c = rng.choice(_TRIPLES)
-    if rng.random() < 0.5:
-        a, b = b, a
-    cos = GaussianRational(Fraction(a, c))
-    sin = GaussianRational(Fraction(b if rng.random() < 0.5 else -b, c))
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    rows[p][p] = cos
-    rows[p][q] = -sin
-    rows[q][p] = sin
-    rows[q][q] = cos
-    return CMatrix(rows)
-
-
-def _phase_factor(n: int, rng: random.Random) -> CMatrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = _random_phase(rng)
-    return CMatrix(rows)
-
-
-def _signed_permutation(n: int, rng: random.Random) -> CMatrix:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        rows[i][j] = ONE if rng.random() < 0.5 else -ONE
-    return CMatrix(rows)
-
-
 def random_unitary(n: int, rng: random.Random) -> CMatrix:
-    """An exactly unitary n x n matrix built from rotation, phase, and
-    signed-permutation factors drawn from rng."""
+    """An exactly unitary n x n matrix, 1 <= n <= 64: starting from the
+    identity, 2n + 2 rotation, phase and signed-permutation factors drawn
+    from rng are applied to its columns in place."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    m = CMatrix.identity(n)
+    if n > _MAX_RANDOM_STATES:
+        raise ValueError(f"dimension {n} exceeds the cap of {_MAX_RANDOM_STATES}")
+    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
     for _ in range(2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
-            factor = _rotation_factor(n, rng)
+            p, q = sorted(rng.sample(range(n), 2))
+            a, b, c = rng.choice(_TRIPLES)
+            if rng.random() < 0.5:
+                a, b = b, a
+            cos = GaussianRational(Fraction(a, c))
+            sin = GaussianRational(Fraction(b if rng.random() < 0.5 else -b, c))
+            cp, cq = cols[p], cols[q]
+            cols[p] = [cos * x + sin * y for x, y in zip(cp, cq)]
+            cols[q] = [cos * y - sin * x for x, y in zip(cp, cq)]
         elif kind == 1:
-            factor = _signed_permutation(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [None] * n
+            for i, j in enumerate(perm):
+                col = cols[i]
+                moved[j] = col if rng.random() < 0.5 else [-x for x in col]
+            cols = moved
         else:
-            factor = _phase_factor(n, rng)
-        m = m * factor
-    return m
+            for i in range(n):
+                phase = _random_phase(rng)
+                cols[i] = [phase * x for x in cols[i]]
+    return CMatrix(zip(*cols))
 
 
 def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:
@@ -337,8 +318,20 @@ def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:
 
     Transitions are independent random unitaries, the initial vector is the
     first column of one more random unitary (hence exactly unit norm), and
-    each state is accepting with probability one half.
+    each state is accepting with probability one half.  A request for more
+    than 4096 contexts (m + m**2 + ... + m**k) or 64 states is a ValueError.
     """
+    m = len(alphabet)
+    contexts = 0
+    power = 1
+    for _ in range(k):
+        power *= m
+        contexts += power
+        if contexts > _MAX_RANDOM_CONTEXTS:
+            raise ValueError(
+                f"alphabet size {m} and window width {k} give more than "
+                f"{_MAX_RANDOM_CONTEXTS} contexts (the cap)"
+            )
     rng = random.Random(seed)
     transitions = {
         ctx: random_unitary(n, rng) for ctx in reachable_contexts(alphabet, k)

@@ -7,6 +7,7 @@ summary hook in conftest so they appear regardless of output capture.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -41,13 +42,14 @@ from qfaeq.qfa import (
     iter_words,
     last_letter_qfa,
     lift,
-    mu_bar,
     random_qfa,
     random_unitary,
     reachable_contexts,
 )
 from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
+
+from reference import mu_bar
 
 PHASE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
@@ -243,6 +245,26 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
                 # the empty word, so any witness has positive length
                 if not r.verdict.equivalent:
                     assert len(r.verdict.witness) >= 1
+        # pins every verdict, witness, probability and search count on the
+        # grid; a change that alters them on purpose updates this digest
+        digest = hashlib.sha256(
+            "".join(
+                repr(
+                    (
+                        v.equivalent,
+                        v.witness,
+                        v.p1,
+                        v.p2,
+                        v.nodes_processed,
+                        sorted(v.basis_sizes.items()),
+                    )
+                )
+                for v in (r.verdict for r in runs)
+            ).encode()
+        ).hexdigest()
+        assert digest == (
+            "945c7cee90808f8e4b92c0495064c6c6474fc4313e3aec8c4762010a4a48cdfb"
+        )
         # decide is basis_search read off; spot-check the pieces
         for r in runs[::24]:
             sbm = basis_search(r.a1, r.a2)
@@ -295,8 +317,8 @@ def test_criterion_3_bound_conformance(grid_runs, acceptance_report):
     runs, _ = grid_runs
     with criterion(
         acceptance_report,
-        "criterion 3: all witnesses within the length bound; "
-        "spot values 32, 16, 18",
+        "criterion 3: all witnesses within Theorem 4's bound and the "
+        "rank bound; spot values 32, 16, 18",
     ):
         assert theorem4_bound(2, 2, 2, 2) == 32
         assert theorem4_bound(2, 2, 1, 1) == 16
@@ -304,9 +326,14 @@ def test_criterion_3_bound_conformance(grid_runs, acceptance_report):
         witnesses = 0
         for r in runs:
             bound = theorem4_bound(r.a1.n, r.a2.n, r.m, r.joint_k)
+            # the search's own bound: rank R over all classes, plus the
+            # k - 1 letters a word has before it is first checked
+            k = r.joint_k
+            rank = (r.a1.n**2 + r.a2.n**2 - 1) * r.m ** (k - 1)
             for v in (r.verdict, r.brute):
                 if not v.equivalent:
                     assert len(v.witness) <= bound
+                    assert len(v.witness) <= rank + k - 1
                     witnesses += 1
         assert witnesses > 0
 

@@ -253,6 +253,18 @@ def test_gen_rejects_bad_alphabet(files, capsys, tmp_path):
     assert "alphabet" in capsys.readouterr().err
 
 
+def test_gen_rejects_oversized_request(capsys, tmp_path):
+    # 2 + 4 + ... + 2**40 contexts: refused before any matrix is built
+    out = tmp_path / "x.json"
+    rc = main(
+        ["gen", "--states", "2", "--alphabet", "a,b", "--k", "40",
+         "--seed", "0", "-o", str(out)]
+    )
+    assert rc == 2
+    assert "more than 4096 contexts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(files, capsys):
     assert main(["equiv", files["always"], files["always"], "--frobnicate"]) == 2
 

@@ -28,11 +28,12 @@ from qfaeq.qfa import (
     iter_words,
     last_letter_qfa,
     lift,
-    mu_bar,
     random_qfa,
     random_unitary,
 )
 from qfaeq.scalars import GaussianRational
+
+from reference import mu_bar
 
 AB = Alphabet("ab")
 

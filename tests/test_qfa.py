@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from qfaeq.io import serialize_qfa
 from qfaeq.linalg import CMatrix, conj_vector, is_unitary, norm_sq, row_times_matrix
 from qfaeq.qfa import (
     Alphabet,
@@ -12,13 +14,14 @@ from qfaeq.qfa import (
     iter_words,
     last_letter_qfa,
     lift,
-    mu_bar,
     random_qfa,
     random_unitary,
     reachable_contexts,
     validate,
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
+
+from reference import mu_bar
 
 ROTATION = CMatrix(
     [
@@ -255,6 +258,35 @@ def test_random_qfa_is_valid_and_deterministic():
         assert a == again
     assert random_qfa(2, Alphabet("ab"), 1, seed=0) != random_qfa(
         2, Alphabet("ab"), 1, seed=1
+    )
+
+
+def test_random_generation_caps():
+    with pytest.raises(ValueError, match="dimension 65 exceeds the cap of 64"):
+        random_unitary(65, random.Random(0))
+    with pytest.raises(ValueError, match="width 4097 give more than 4096"):
+        random_qfa(1, Alphabet("a"), 4097, seed=0)
+    # 2 + 4 + ... + 2**12 = 8190 contexts; the count stops there, so a huge
+    # width never forms m**k
+    for k in (12, 2**62):
+        with pytest.raises(ValueError, match=f"width {k} give more than 4096"):
+            random_qfa(1, Alphabet("ab"), k, seed=0)
+    assert len(random_qfa(1, Alphabet("a"), 4096, seed=0).transitions) == 4096
+
+
+def test_random_generation_is_pinned():
+    # Every seeded test, digest and benchmark input is built by random_qfa.
+    # The accepting set is drawn last, so this also pins the RNG state that
+    # random_unitary leaves behind.
+    text = "".join(
+        serialize_qfa(random_qfa(n, Alphabet("abc"[:m]), k, seed))
+        for n in (1, 2, 3, 5, 8)
+        for m, k in ((1, 1), (2, 1), (2, 2), (3, 2))
+        for seed in (0, 1, 42)
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "ae78d86cae76a9ab613f35c2139080ec17b6c1830732226a0824af68bc97cfe2"
     )
 
 

@@ -40,7 +40,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Vector, conj_vector, norm_sq, row_times_matrix, span_insert
+from .linalg import (
+    CMatrix,
+    Vector,
+    _row_vector,
+    _scaled_row,
+    conj_vector,
+    row_prob,
+    row_times_matrix,
+    span_insert,
+    start_row,
+)
 from .qfa import KLetterQFA, _context_at, accept_prob
 
 __all__ = [
@@ -94,9 +104,14 @@ def extend(
     i = len(word)
     return QueueItem(
         word,
-        row_times_matrix(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
-        row_times_matrix(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
+        _step(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
+        _step(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
     )
+
+
+def _step(v: Vector, m: CMatrix) -> Vector:
+    """v times m, taken as an integer row step."""
+    return _row_vector(row_times_matrix(_scaled_row(v), m))
 
 
 def _block_coordinates(v: Vector):
@@ -246,7 +261,7 @@ def brute_force(
     p2 = accept_prob(a2, "")
     if p1 != p2:
         return Verdict(False, "", p1, p2, nodes_processed=checked)
-    level = [("", conj_vector(a1.initial), conj_vector(a2.initial))]
+    level = [("", start_row(a1.initial), start_row(a2.initial))]
     for length in range(1, max_len + 1):
         nxt = []
         for word, v1, v2 in level:
@@ -259,8 +274,8 @@ def brute_force(
                     v2, a2.transitions[_context_at(a2.k, w, length)]
                 )
                 checked += 1
-                p1 = norm_sq(u1[q] for q in a1.accepting)
-                p2 = norm_sq(u2[q] for q in a2.accepting)
+                p1 = row_prob(u1, a1.accepting)
+                p2 = row_prob(u2, a2.accepting)
                 if p1 != p2:
                     return Verdict(False, w, p1, p2, nodes_processed=checked)
                 nxt.append((w, u1, u2))

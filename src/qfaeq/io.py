@@ -17,7 +17,12 @@ a positive denominator; unreduced input such as "2/4" is accepted and
 normalized, a zero denominator is rejected).  Context keys use "_" for the
 blank padding symbol, only as a prefix.  Parsing validates both the document
 structure and the automaton semantics, so a successfully parsed automaton is
-always valid; every error message names the offending location.
+always valid; every error message names the offending location.  A document
+may declare at most 64 states and 4096 contexts, the generator's caps, and
+each numerator and denominator has at most 4300 digits.  Matrices are read
+straight into the integer form of :class:`~qfaeq.linalg.CMatrix`, whose
+common denominator (the lcm of its entries' denominators) has at most 8600
+digits.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import CMatrix
 from .qfa import (
+    _MAX_CONTEXTS,
+    _MAX_STATES,
     Alphabet,
     KLetterQFA,
     _context_shape_ok,
@@ -60,11 +68,16 @@ _DOCUMENT_FIELDS = (
     "transitions",
 )
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Digits allowed in a numerator or denominator: Python 3.11's default limit
 # on int conversion from text, enforced here on every version.
 _MAX_DIGITS = 4300
+
+# Digits allowed in the common denominator of a matrix, and the bound it
+# stays below.
+_MAX_DEN_DIGITS = 2 * _MAX_DIGITS
+_MAX_DEN = 10**_MAX_DEN_DIGITS
 
 
 class QfaFormatError(ValueError):
@@ -76,28 +89,47 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text, where: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise QfaFormatError(f"{where}: malformed rational {text!r}")
-    if any(len(digits) > _MAX_DIGITS for digits in text.lstrip("-").split("/")):
+def _locate(where: str, *index: int) -> str:
+    return where + "".join(f"[{i}]" for i in index)
+
+
+def _rational_parts(text, where: str, *index: int) -> tuple[int, int]:
+    """The numerator and the positive denominator of a "p/q" or "p" string,
+    as written, not reduced.  An error names the location where[i][j]...
+    for the indices given, formatted only when raised."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise QfaFormatError(f"{_locate(where, *index)}: malformed rational {text!r}")
+    num, den = match.groups()
+    if len(num) - (num[0] == "-") > _MAX_DIGITS or len(den or "") > _MAX_DIGITS:
         raise QfaFormatError(
-            f"{where}: rational too long ({len(text)} characters)"
+            f"{_locate(where, *index)}: rational too long ({len(text)} characters)"
         )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
+    den = int(den) if den else 1
+    if not den:
         raise QfaFormatError(
-            f"{where}: malformed rational {text!r} (zero denominator)"
-        ) from None
+            f"{_locate(where, *index)}: malformed rational {text!r} (zero denominator)"
+        )
+    return int(num), den
+
+
+def parse_rational(text, where: str = "value") -> Fraction:
+    return Fraction(*_rational_parts(text, where))
 
 
 def _format_complex(z: GaussianRational) -> list:
     return [format_rational(z.re), format_rational(z.im)]
 
 
-def _parse_complex(pair, where: str) -> GaussianRational:
+def _check_pair(pair, where: str, *index: int) -> None:
     if not isinstance(pair, list) or len(pair) != 2:
-        raise QfaFormatError(f"{where}: expected a [re, im] pair of strings")
+        raise QfaFormatError(
+            f"{_locate(where, *index)}: expected a [re, im] pair of strings"
+        )
+
+
+def _parse_complex(pair, where: str) -> GaussianRational:
+    _check_pair(pair, where)
     return GaussianRational(
         parse_rational(pair[0], f"{where}[0]"),
         parse_rational(pair[1], f"{where}[1]"),
@@ -105,19 +137,51 @@ def _parse_complex(pair, where: str) -> GaussianRational:
 
 
 def _parse_matrix(obj, n: int, where: str) -> CMatrix:
+    """The matrix straight from the entries' numerator and denominator ints,
+    over the lcm of the denominators, checked one part at a time in
+    document order.  The lcm is capped at _MAX_DEN_DIGITS digits: every
+    entry is scaled to it, so without a cap a few dozen coprime
+    denominators would make each of the 2n^2 scaled entries huge."""
     if not isinstance(obj, list) or len(obj) != n:
         raise QfaFormatError(f"{where}: expected {n} matrix rows")
-    rows = []
+    nums, dens = [], []
+    den = 1
     for r, rowobj in enumerate(obj):
         if not isinstance(rowobj, list) or len(rowobj) != n:
             raise QfaFormatError(f"{where}[{r}]: expected {n} entries")
-        rows.append(
-            tuple(
-                _parse_complex(entry, f"{where}[{r}][{c}]")
-                for c, entry in enumerate(rowobj)
-            )
-        )
-    return CMatrix(rows)
+        for c, pair in enumerate(rowobj):
+            _check_pair(pair, where, r, c)
+            for part in (0, 1):
+                p, q = _rational_parts(pair[part], where, r, c, part)
+                if den % q:
+                    den = lcm(den, q)
+                    if den >= _MAX_DEN:
+                        raise QfaFormatError(
+                            f"{_locate(where, r, c, part)}: common denominator "
+                            f"exceeds {_MAX_DEN_DIGITS} digits"
+                        )
+                nums.append(p)
+                dens.append(q)
+    scaled = [p * (den // q) for p, q in zip(nums, dens)]
+    width = 2 * n
+    starts = range(0, n * width, width)
+    re = tuple(tuple(scaled[i : i + width : 2]) for i in starts)
+    im = tuple(tuple(scaled[i + 1 : i + width : 2]) for i in starts)
+    return CMatrix._from_ints(den, re, im)
+
+
+def _format_matrix(m: CMatrix) -> list:
+    """Each entry of m as a reduced [re, im] pair, one gcd per part."""
+    den = m.den
+
+    def part(x: int) -> str:
+        g = gcd(x, den)
+        return f"{x // g}/{den // g}"
+
+    return [
+        [[part(x), part(y)] for x, y in zip(xs, ys)]
+        for xs, ys in zip(m.re, m.im)
+    ]
 
 
 def _require_int(obj, where: str, minimum: int) -> int:
@@ -157,6 +221,13 @@ def parse_qfa(text: str) -> KLetterQFA:
         raise QfaFormatError("transitions: expected an object")
     k = _require_int(obj["k"], "k", 1)
     n = _require_int(obj["states"], "states", 1)
+    if n > _MAX_STATES:
+        raise QfaFormatError(f"states: {n} exceeds the cap of {_MAX_STATES}")
+    if len(obj["transitions"]) > _MAX_CONTEXTS:
+        raise QfaFormatError(
+            f"transitions: {len(obj['transitions'])} contexts exceed the cap "
+            f"of {_MAX_CONTEXTS}"
+        )
     try:
         alphabet = Alphabet(obj["alphabet"])
     except ValueError as exc:
@@ -204,7 +275,7 @@ def serialize_qfa(a: KLetterQFA) -> str:
         "initial": [_format_complex(z) for z in a.initial],
         "accepting": sorted(a.accepting),
         "transitions": {
-            ctx: [[_format_complex(z) for z in row] for row in a.transitions[ctx].data]
+            ctx: _format_matrix(a.transitions[ctx])
             for ctx in reachable_contexts(a.alphabet, a.k)
         },
     }

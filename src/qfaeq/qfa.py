@@ -21,18 +21,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .linalg import (
     CMatrix,
     Vector,
-    conj_vector,
     is_unitary,
-    norm_sq,
+    row_prob,
     row_times_matrix,
+    start_row,
     vector,
 )
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO
 
 __all__ = [
     "LAMBDA",
@@ -177,7 +178,7 @@ def validate(a: KLetterQFA) -> list[str]:
             f"initial vector has dimension {len(a.initial)}, expected {a.n}"
         )
     else:
-        norm = norm_sq(a.initial)
+        norm = row_prob(start_row(a.initial), range(a.n))
         if norm != 1:
             problems.append(
                 f"initial vector has squared norm {norm}, expected 1"
@@ -222,13 +223,13 @@ def accept_prob(a: KLetterQFA, word: str) -> Fraction:
 
     Equals the squared norm of the accepting coordinates of the conjugated
     initial vector times the product of the word's transition unitaries;
-    computed by stepping the row vector once per letter.
+    computed by stepping the integer row once per letter.
     """
     _check_word(a, word)
-    row = conj_vector(a.initial)
+    row = start_row(a.initial)
     for i in range(1, len(word) + 1):
         row = row_times_matrix(row, a.transitions[_context_at(a.k, word, i)])
-    return norm_sq(row[q] for q in a.accepting)
+    return row_prob(row, a.accepting)
 
 
 def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
@@ -250,42 +251,43 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     return KLetterQFA(a.n, a.alphabet, new_k, a.initial, a.accepting, transitions)
 
 
-# Caps on what the generator builds, so that an oversized request fails at
-# once instead of running without bound.
-_MAX_RANDOM_STATES = 64
-_MAX_RANDOM_CONTEXTS = 4096
+# Caps on the automata that the generator builds and that parse_qfa
+# accepts, so that an oversized request or document fails at once instead
+# of running without bound.
+_MAX_STATES = 64
+_MAX_CONTEXTS = 4096
 
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled
 # Pythagorean pairs give rotation entries whose squares sum to one.
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41))
-_UNITS = (
-    GaussianRational(1),
-    GaussianRational(-1),
-    GaussianRational(0, 1),
-    GaussianRational(0, -1),
-)
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _random_phase(rng: random.Random) -> GaussianRational:
+def _random_phase(rng: random.Random) -> tuple[int, int, int]:
+    """A unit-modulus phase (re + i*im)/den as the ints (re, im, den)."""
     if rng.random() < 0.5:
-        return rng.choice(_UNITS)
+        return (*rng.choice(_UNITS), 1)
     a, b, c = rng.choice(_TRIPLES)
     if rng.random() < 0.5:
         a, b = b, a
-    re = Fraction(a if rng.random() < 0.5 else -a, c)
-    im = Fraction(b if rng.random() < 0.5 else -b, c)
-    return GaussianRational(re, im)
+    re = a if rng.random() < 0.5 else -a
+    im = b if rng.random() < 0.5 else -b
+    return re, im, c
 
 
 def random_unitary(n: int, rng: random.Random) -> CMatrix:
     """An exactly unitary n x n matrix, 1 <= n <= 64: starting from the
     identity, 2n + 2 rotation, phase and signed-permutation factors drawn
-    from rng are applied to its columns in place."""
+    from rng are applied to its columns in place.
+
+    Column j is kept as (s, re, im), the vector (re + i*im)/s over its own
+    scale, so every factor acts on integers.
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > _MAX_RANDOM_STATES:
-        raise ValueError(f"dimension {n} exceeds the cap of {_MAX_RANDOM_STATES}")
-    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    if n > _MAX_STATES:
+        raise ValueError(f"dimension {n} exceeds the cap of {_MAX_STATES}")
+    cols = [(1, [int(i == j) for i in range(n)], [0] * n) for j in range(n)]
     for _ in range(2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
@@ -293,24 +295,46 @@ def random_unitary(n: int, rng: random.Random) -> CMatrix:
             a, b, c = rng.choice(_TRIPLES)
             if rng.random() < 0.5:
                 a, b = b, a
-            cos = GaussianRational(Fraction(a, c))
-            sin = GaussianRational(Fraction(b if rng.random() < 0.5 else -b, c))
-            cp, cq = cols[p], cols[q]
-            cols[p] = [cos * x + sin * y for x, y in zip(cp, cq)]
-            cols[q] = [cos * y - sin * x for x, y in zip(cp, cq)]
+            b = b if rng.random() < 0.5 else -b
+            # col_p <- (a col_p + b col_q)/c and col_q <- (a col_q - b col_p)/c,
+            # both brought to the scale lcm(s_p, s_q) first
+            (sp, pr, pi), (sq, qr, qi) = cols[p], cols[q]
+            s = lcm(sp, sq)
+            fp, fq = s // sp, s // sq
+            ap, bq, aq, bp = a * fp, b * fq, a * fq, b * fp
+            cols[p] = (
+                s * c,
+                [ap * x + bq * y for x, y in zip(pr, qr)],
+                [ap * x + bq * y for x, y in zip(pi, qi)],
+            )
+            cols[q] = (
+                s * c,
+                [aq * y - bp * x for x, y in zip(pr, qr)],
+                [aq * y - bp * x for x, y in zip(pi, qi)],
+            )
         elif kind == 1:
             perm = list(range(n))
             rng.shuffle(perm)
             moved = [None] * n
             for i, j in enumerate(perm):
-                col = cols[i]
-                moved[j] = col if rng.random() < 0.5 else [-x for x in col]
+                s, re, im = col = cols[i]
+                moved[j] = col if rng.random() < 0.5 else (
+                    s, [-x for x in re], [-y for y in im]
+                )
             cols = moved
         else:
             for i in range(n):
-                phase = _random_phase(rng)
-                cols[i] = [phase * x for x in cols[i]]
-    return CMatrix(zip(*cols))
+                a, b, c = _random_phase(rng)
+                s, re, im = cols[i]
+                cols[i] = (
+                    s * c,
+                    [a * x - b * y for x, y in zip(re, im)],
+                    [a * y + b * x for x, y in zip(re, im)],
+                )
+    den = lcm(*(s for s, _, _ in cols))
+    re = tuple(zip(*([x * (den // s) for x in r] for s, r, _ in cols)))
+    im = tuple(zip(*([y * (den // s) for y in i] for s, _, i in cols)))
+    return CMatrix._from_ints(den, re, im)
 
 
 def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:
@@ -327,10 +351,10 @@ def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:
     for _ in range(k):
         power *= m
         contexts += power
-        if contexts > _MAX_RANDOM_CONTEXTS:
+        if contexts > _MAX_CONTEXTS:
             raise ValueError(
                 f"alphabet size {m} and window width {k} give more than "
-                f"{_MAX_RANDOM_CONTEXTS} contexts (the cap)"
+                f"{_MAX_CONTEXTS} contexts (the cap)"
             )
     rng = random.Random(seed)
     transitions = {

@@ -14,8 +14,8 @@ class GaussianRational:
     Both components are :class:`fractions.Fraction` values, so they are always
     stored reduced (coprime numerator and denominator, positive denominator)
     and arithmetic never rounds.  The type is closed under addition,
-    subtraction, multiplication, conjugation, and division by nonzero values.
-    Instances are immutable by convention and hashable.
+    subtraction, multiplication and conjugation.  Instances are immutable by
+    convention and hashable.
 
     Plain ``int`` and ``Fraction`` values mix freely on either side of the
     arithmetic operators and in equality comparisons.
@@ -90,23 +90,6 @@ class GaussianRational:
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        if not d:
-            return GaussianRational(a / c, b / c)
-        den = c * c + d * d
-        return GaussianRational((a * c + b * d) / den, (b * c - a * d) / den)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"

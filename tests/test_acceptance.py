@@ -9,6 +9,7 @@ summary hook in conftest so they appear regardless of output capture.
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -30,9 +31,11 @@ from qfaeq.equivalence import (
 )
 from qfaeq.linalg import (
     CMatrix,
+    _row_vector,
     conj_vector,
-    norm_sq,
+    row_prob,
     row_times_matrix,
+    start_row,
 )
 from qfaeq.qfa import (
     Alphabet,
@@ -49,7 +52,7 @@ from qfaeq.qfa import (
 from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
 
-from reference import mu_bar
+from reference import mu_bar, norm_sq, row_step
 
 PHASE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
@@ -166,8 +169,8 @@ def execute_pair(kind, builder, a1, a2):
     m = len(a1.alphabet)
     if m == 1:
         cap = None  # the full bound is affordable for unary alphabets
-    elif verdict.equivalent or len(verdict.witness) <= 8:
-        cap = 8
+    elif verdict.equivalent or len(verdict.witness) <= 10:
+        cap = 10
     else:
         cap = len(verdict.witness)
     brute = brute_force(a1, a2, max_len=cap)
@@ -380,6 +383,16 @@ def test_criterion_5_worked_example(acceptance_report):
         assert (v.p1, v.p2) == (Fraction(0), Fraction(1))
 
 
+def assert_reduced_ints(scale, entries):
+    """A scale and the integer entries over it: plain ints, never bool or
+    float (in Python, int / int is a float), a positive scale, and no
+    common factor."""
+    entries = list(entries)
+    assert type(scale) is int and scale > 0, scale
+    assert all(type(x) is int for x in entries), entries
+    assert math.gcd(scale, *entries) == 1
+
+
 def assert_float_free(obj, seen=None):
     if seen is None:
         seen = set()
@@ -405,6 +418,7 @@ def assert_float_free(obj, seen=None):
         return
     if isinstance(obj, CMatrix):
         assert_float_free(obj.data, seen)
+        assert_reduced_ints(obj.den, itertools.chain(*obj.re, *obj.im))
         return
     if dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
@@ -460,6 +474,16 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
             for basis in basis_search(r.a1, r.a2).bases.values():
                 for row in basis.values():
                     assert all(type(x) is Fraction for x in row)
+        # matrices and the integer rows of accept_prob and brute_force are
+        # reduced scaled ints
+        for r in sample:
+            for a in (r.a1, r.a2):
+                row = start_row(a.initial)
+                assert_reduced_ints(row[0], row[1] + row[2])
+                for m in a.transitions.values():
+                    assert_reduced_ints(m.den, itertools.chain(*m.re, *m.im))
+                    row = row_times_matrix(row, m)
+                    assert_reduced_ints(row[0], row[1] + row[2])
 
 
 def test_criterion_7_unitarity_and_lift(acceptance_report):
@@ -481,8 +505,11 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
                     words.choice(alphabet.symbols)
                     for _ in range(words.randrange(0, 9))
                 )
-                row = row_times_matrix(conj_vector(a.initial), mu_bar(a, word))
-                assert norm_sq(row) == 1
+                ket = conj_vector(a.initial)
+                row = row_times_matrix(start_row(a.initial), mu_bar(a, word))
+                assert row_prob(row, range(n)) == 1
+                assert norm_sq(row_step(ket, mu_bar(a, word))) == 1
+                assert _row_vector(row) == row_step(ket, mu_bar(a, word))
             wider = lift(a, k + 1)
             for word in iter_words(alphabet, 4):
                 assert accept_prob(wider, word) == accept_prob(a, word)

@@ -265,6 +265,36 @@ def test_gen_rejects_oversized_request(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_oversized_documents_exit_2(files, capsys, tmp_path):
+    doc = json.loads(Path(files["last_letter"]).read_text())
+    big = dict(doc, states=65)
+    wide = dict(doc, transitions={f"x{i}": None for i in range(4097)})
+    # pairwise coprime 2**e - 1 (distinct primes e) as the first matrix's
+    # denominators, so their lcm passes 8600 digits at the third part
+    exps = [e for e in range(10001, 10200) if all(e % d for d in range(2, 101))]
+    coprime = json.loads(json.dumps(doc))
+    first = next(iter(coprime["transitions"].values()))
+    dens = iter(exps)
+    for row in first:
+        for pair in row:
+            pair[:] = [f"1/{2 ** next(dens) - 1}", f"1/{2 ** next(dens) - 1}"]
+    for name, text, cap in (
+        ("big", big, "exceeds the cap of 64"),
+        ("wide", wide, "exceed the cap of 4096"),
+        ("coprime", coprime, "common denominator exceeds 8600 digits"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(text))
+        for argv in (
+            ["validate", str(path)],
+            ["equiv", str(path), files["last_letter"]],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and cap in err
+            assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(files, capsys):
     assert main(["equiv", files["always"], files["always"], "--frobnicate"]) == 2
 

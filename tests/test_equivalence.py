@@ -16,7 +16,6 @@ from qfaeq.equivalence import (
 from qfaeq.linalg import (
     CMatrix,
     conj_vector,
-    row_times_matrix,
     span_reduce,
     vector,
 )
@@ -33,7 +32,7 @@ from qfaeq.qfa import (
 )
 from qfaeq.scalars import GaussianRational
 
-from reference import mu_bar
+from reference import adjoint, matmul, mu_bar, row_step
 
 AB = Alphabet("ab")
 
@@ -63,7 +62,7 @@ def trace_difference(a1, a2, word):
 def reference_vector(a, k, word):
     """v(word) = psi^dagger mubar(word) as a one-row matrix product over the
     transitions lifted to width k."""
-    return (CMatrix([conj_vector(a.initial)]) * mu_bar(lift(a, k), word)).data[0]
+    return row_step(conj_vector(a.initial), mu_bar(lift(a, k), word))
 
 
 def reference_blocks(a1, a2, k, word):
@@ -74,7 +73,7 @@ def reference_blocks(a1, a2, k, word):
         m = mu_bar(lift(a, k), word)
         psi = a.initial
         start = CMatrix([[sign * x * y.conjugate() for y in psi] for x in psi])
-        blocks.append(m.dagger() * start * m)
+        blocks.append(matmul(matmul(adjoint(m), start), m))
     return blocks
 
 
@@ -141,8 +140,8 @@ def test_join_block_structure():
     start = start_item(a1, a2)
     # each row steps on its own automaton's transitions
     item = extend(a1, a2, start, "a")
-    assert item.v1 == row_times_matrix(start.v1, a1.transitions["a"])
-    assert item.v2 == row_times_matrix(start.v2, a2.transitions["a"])
+    assert item.v1 == row_step(start.v1, a1.transitions["a"])
+    assert item.v2 == row_step(start.v2, a2.transitions["a"])
     # n1^2 + n2^2 real coordinates of the blocks psi1 psi1^dagger and
     # -psi2 psi2^dagger: diagonals, then Re and Im above them
     rho1, rho2 = reference_blocks(a1, a2, 1, "")
@@ -227,6 +226,9 @@ def test_extend_grows_word_and_tracks_vector():
     assert item.word == "ab"
     t = a.transitions["_a"] * a.transitions["ab"]
     assert item.v1 == item.v2 == (CMatrix([conj_vector(a.initial)]) * t).data[0]
+    assert item.v1 == row_step(
+        row_step(conj_vector(a.initial), a.transitions["_a"]), a.transitions["ab"]
+    )
     assert real_row(item) == hermitian_coordinates(
         reference_blocks(a, a, a.k, "ab")
     )

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -239,6 +240,85 @@ def test_rational_digit_cap_holds_without_interpreter_limit():
             parse_doc(doc)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def oversized_documents():
+    """Just above each cap: 65 states, or 4097 declared contexts.  No
+    matrix is well formed, so the cap must fire before any is parsed."""
+    states = base_document()
+    states["states"] = 65
+    states["transitions"] = {ctx: None for ctx in states["transitions"]}
+    contexts = base_document()
+    contexts["transitions"] = {f"x{i}": None for i in range(4097)}
+    return states, contexts
+
+
+def test_document_caps_on_states_and_contexts():
+    states, contexts = oversized_documents()
+    with pytest.raises(
+        QfaFormatError, match=r"^states: 65 exceeds the cap of 64$"
+    ):
+        parse_doc(states)
+    with pytest.raises(
+        QfaFormatError,
+        match=r"^transitions: 4097 contexts exceed the cap of 4096$",
+    ):
+        parse_doc(contexts)
+    # at the caps the document gets as far as its next problem
+    states["states"] = 64
+    with pytest.raises(QfaFormatError, match="initial: expected 64 entries"):
+        parse_doc(states)
+    del contexts["transitions"]["x0"]
+    with pytest.raises(QfaFormatError, match="malformed context 'x1'"):
+        parse_doc(contexts)
+
+
+def test_long_matrix_entries_parse_exactly():
+    # an entry of more than 4300 characters, each part within the digit
+    # cap, parses to its exact value
+    doc = base_document()
+    big = "7" * 3000
+    doc["transitions"]["aa"][0][0] = [f"{big}/{big}", f"-0/{big}"]
+    a = parse_doc(doc)
+    assert a == last_letter_qfa()
+    doc["transitions"]["aa"][1][1][1] = "1/" + "0" * 3000
+    with pytest.raises(
+        QfaFormatError, match=r"^transitions\['aa'\]\[1\]\[1\]\[1\]: .*zero denominator"
+    ):
+        parse_doc(doc)
+
+
+def coprime_denominators(count):
+    """2**e - 1 for the first `count` primes e above 10000, about 3000
+    digits each and pairwise coprime: gcd(2**a - 1, 2**b - 1) is
+    2**gcd(a, b) - 1."""
+    primes = (e for e in range(10001, 20000) if all(e % d for d in range(2, 142)))
+    return [2**e - 1 for e in itertools.islice(primes, count)]
+
+
+def test_common_denominator_cap_is_located():
+    # 72 parts over pairwise coprime denominators: the lcm of the first
+    # three already passes 8600 digits, and parsing stops at the third
+    doc = json.loads(serialize_qfa(random_qfa(6, Alphabet("ab"), 1, 0)))
+    matrix = doc["transitions"]["a"]
+    dens = iter(coprime_denominators(72))
+    for row in matrix:
+        for pair in row:
+            pair[:] = [f"1/{next(dens)}", f"1/{next(dens)}"]
+    with pytest.raises(
+        QfaFormatError,
+        match=r"^transitions\['a'\]\[0\]\[1\]\[0\]: common denominator "
+        r"exceeds 8600 digits$",
+    ):
+        parse_doc(doc)
+    # two of them stay under the cap and reach the unitarity check
+    for row in matrix:
+        for pair in row:
+            pair[:] = ["0/1", "0/1"]
+    two = coprime_denominators(2)
+    matrix[0][0] = [f"1/{two[0]}", f"1/{two[1]}"]
+    with pytest.raises(QfaFormatError, match="'a' is not unitary"):
+        parse_doc(doc)
 
 
 def test_wrong_matrix_shape():

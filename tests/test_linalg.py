@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from qfaeq.linalg import (
     CMatrix,
+    _row_vector,
+    _scaled_row,
     conj_vector,
     is_unitary,
-    norm_sq,
+    row_prob,
     row_times_matrix,
     span_insert,
     span_reduce,
+    start_row,
     vector,
 )
+from qfaeq.qfa import random_unitary
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
+
+from reference import adjoint, matmul, norm_sq, row_step, unitary
 
 
 def random_scalar(rng):
@@ -133,12 +139,14 @@ def test_row_times_matrix_matches_full_product(seed):
     m = random_matrix(rng, 3, 4)
     row = tuple(random_scalar(rng) for _ in range(3))
     via_matrix = (CMatrix([row]) * m).data[0]
-    assert row_times_matrix(row, m) == via_matrix
+    stepped = _row_vector(row_times_matrix(_scaled_row(row), m))
+    assert stepped == via_matrix
+    assert stepped == row_step(row, m)
 
 
 def test_row_times_matrix_dimension_check():
     with pytest.raises(ValueError):
-        row_times_matrix((ONE,), CMatrix.identity(2))
+        row_times_matrix(_scaled_row((ONE,)), CMatrix.identity(2))
 
 
 # Independent oracle for span rank: textbook Gaussian elimination over
@@ -260,3 +268,71 @@ def test_rank_never_exceeds_dimension():
     # a full-rank basis contains everything
     if len(basis) == 3:
         assert in_span(basis, [Fraction(7), Fraction(-1, 3), Fraction(2)])
+
+
+def test_canonical_integer_form():
+    m = CMatrix([[Fraction(2, 4), GaussianRational(0, Fraction(-1, 6))], [3, 0]])
+    assert (m.den, m.re, m.im) == (6, ((3, 0), (18, 0)), ((0, -1), (0, 0)))
+    # one gcd reduces a scaled form to the same canonical form
+    same = CMatrix._from_ints(12, ((6, 0), (36, 0)), ((0, -2), (0, 0)))
+    assert (same.den, same.re, same.im) == (m.den, m.re, m.im)
+    assert same == m and hash(same) == hash(m)
+    assert m[0, 1] == GaussianRational(0, Fraction(-1, 6))
+    assert m.column(0) == (GaussianRational(Fraction(1, 2)), GaussianRational(3))
+    # data is built on every access, never kept
+    assert m.data == m.data and m.data is not m.data
+    assert CMatrix([[1, 0], [0, 1]]) == CMatrix.identity(2)
+    assert CMatrix([[Fraction(1, 3)]]) != CMatrix([[Fraction(2, 3)]])
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10**6))
+def test_products_match_entrywise_reference(seed):
+    rng = random.Random(seed)
+    a = random_matrix(rng, 2, 3)
+    b = random_matrix(rng, 3, 2)
+    assert a * b == matmul(a, b)
+    assert a.dagger() == adjoint(a)
+
+
+def test_rows_by_hand():
+    row = start_row((GaussianRational(Fraction(3, 5), Fraction(4, 5)), ZERO))
+    assert row == (5, (3, 0), (-4, 0))
+    assert row_prob(row, [0]) == 1 and row_prob(row, [1]) == 0
+    assert _row_vector(row) == conj_vector(
+        (GaussianRational(Fraction(3, 5), Fraction(4, 5)), ZERO)
+    )
+    # (1/2, 1/2) times [[1, 1], [1, -1]] is (1, 0): the content 2 is removed
+    half = _scaled_row(vector([Fraction(1, 2), Fraction(1, 2)]))
+    assert half == (2, (1, 1), (0, 0))
+    assert row_times_matrix(half, CMatrix([[1, 1], [1, -1]])) == (1, (1, 0), (0, 0))
+
+
+def perturbations(m):
+    """m with one entry conjugated, negated, or shifted by i/(den + 1), for
+    a few entries."""
+    rng = random.Random(m.den)
+    n = m.nrows
+    for _ in range(3):
+        i, j = rng.randrange(n), rng.randrange(n)
+        for change in (
+            lambda z: z.conjugate(),
+            lambda z: -z,
+            lambda z: z + GaussianRational(0, Fraction(1, m.den + 1)),
+        ):
+            rows = [list(row) for row in m.data]
+            rows[i][j] = change(rows[i][j])
+            yield CMatrix(rows)
+
+
+def test_is_unitary_agrees_with_entrywise_reference():
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3, 4, 6):
+        for seed in range(4):
+            u = random_unitary(n, random.Random(seed))
+            assert is_unitary(u) and unitary(u)
+            for v in perturbations(u):
+                assert is_unitary(v) == unitary(v)
+                seen[unitary(v)] += 1
+    # the perturbed matrices include unitary and non-unitary ones
+    assert seen[True] > 0 and seen[False] > 0

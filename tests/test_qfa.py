@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from qfaeq.io import serialize_qfa
-from qfaeq.linalg import CMatrix, conj_vector, is_unitary, norm_sq, row_times_matrix
+from qfaeq.linalg import (
+    CMatrix,
+    _row_vector,
+    conj_vector,
+    is_unitary,
+    row_prob,
+    row_times_matrix,
+    start_row,
+)
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -21,7 +29,7 @@ from qfaeq.qfa import (
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
-from reference import mu_bar
+from reference import mu_bar, norm_sq, row_step
 
 ROTATION = CMatrix(
     [
@@ -151,7 +159,7 @@ def test_accept_prob_conjugates_initial_vector():
 def test_matrix_formula_equals_stepped_evaluation():
     a = random_qfa(3, Alphabet("ab"), 2, seed=11)
     for word in ["", "a", "ba", "abab"]:
-        row = row_times_matrix(conj_vector(a.initial), mu_bar(a, word))
+        row = row_step(conj_vector(a.initial), mu_bar(a, word))
         total = Fraction(0)
         for q in a.accepting:
             total += row[q].abs_sq()
@@ -336,7 +344,10 @@ def test_norm_preserved_along_runs():
         a = random_qfa(3, Alphabet("ab"), 2, seed=seed)
         row = conj_vector(a.initial)
         for word in ["", "a", "ab", "bbab", "ababab"]:
-            assert norm_sq(row_times_matrix(row, mu_bar(a, word))) == 1
+            assert norm_sq(row_step(row, mu_bar(a, word))) == 1
+            stepped = row_times_matrix(start_row(a.initial), mu_bar(a, word))
+            assert row_prob(stepped, range(a.n)) == 1
+            assert _row_vector(stepped) == row_step(row, mu_bar(a, word))
 
 
 def test_word_iteration_order():

@@ -24,8 +24,9 @@ from .equivalence import (
     require_shared_alphabet,
     theorem4_bound,
 )
-from .io import QfaFormatError, format_rational, load_qfa, save_qfa
+from .io import QfaFormatError, load_qfa, save_qfa
 from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
+from .scalars import format_rational
 
 __all__ = ["cli_main", "main"]
 

@@ -18,11 +18,16 @@ normalized, a zero denominator is rejected).  Context keys use "_" for the
 blank padding symbol, only as a prefix.  Parsing validates both the document
 structure and the automaton semantics, so a successfully parsed automaton is
 always valid; every error message names the offending location.  A document
-may declare at most 64 states and 4096 contexts, the generator's caps, and
-each numerator and denominator has at most 4300 digits.  Matrices are read
-straight into the integer form of :class:`~qfaeq.linalg.CMatrix`, whose
-common denominator (the lcm of its entries' denominators) has at most 8600
-digits.
+may declare at most 64 states and 4096 contexts, the generator's caps.
+
+One reader takes every number in a document, the initial vector's and the
+matrices', from text to integers scaled to a common denominator: the
+initial vector over one, read back as Gaussian rationals, and each matrix
+over its own, read straight into the integer form of
+:class:`~qfaeq.linalg.CMatrix`.  Each numerator and denominator has at most
+4300 digits, and each common denominator (the lcm of the denominators it
+covers) at most 8600, so hostile input stops at a located error before any
+arithmetic on it.  One writer formats both back, exact at any size.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import CMatrix
+from .linalg import CMatrix, _row_vector, _scaled_row
 from .qfa import (
     _MAX_CONTEXTS,
     _MAX_STATES,
@@ -44,14 +48,12 @@ from .qfa import (
     reachable_contexts,
     validate,
 )
-from .scalars import GaussianRational
+from .scalars import _ratio_text
 
 __all__ = [
     "QfaFormatError",
-    "format_rational",
     "load_qfa",
     "parse_qfa",
-    "parse_rational",
     "save_qfa",
     "serialize_qfa",
 ]
@@ -85,10 +87,6 @@ class QfaFormatError(ValueError):
     where."""
 
 
-def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _locate(where: str, *index: int) -> str:
     return where + "".join(f"[{i}]" for i in index)
 
@@ -113,74 +111,54 @@ def _rational_parts(text, where: str, *index: int) -> tuple[int, int]:
     return int(num), den
 
 
-def parse_rational(text, where: str = "value") -> Fraction:
-    return Fraction(*_rational_parts(text, where))
-
-
-def _format_complex(z: GaussianRational) -> list:
-    return [format_rational(z.re), format_rational(z.im)]
-
-
-def _check_pair(pair, where: str, *index: int) -> None:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise QfaFormatError(
-            f"{_locate(where, *index)}: expected a [re, im] pair of strings"
-        )
-
-
-def _parse_complex(pair, where: str) -> GaussianRational:
-    _check_pair(pair, where)
-    return GaussianRational(
-        parse_rational(pair[0], f"{where}[0]"),
-        parse_rational(pair[1], f"{where}[1]"),
-    )
-
-
-def _parse_matrix(obj, n: int, where: str) -> CMatrix:
-    """The matrix straight from the entries' numerator and denominator ints,
-    over the lcm of the denominators, checked one part at a time in
-    document order.  The lcm is capped at _MAX_DEN_DIGITS digits: every
-    entry is scaled to it, so without a cap a few dozen coprime
-    denominators would make each of the 2n^2 scaled entries huge."""
-    if not isinstance(obj, list) or len(obj) != n:
-        raise QfaFormatError(f"{where}: expected {n} matrix rows")
+def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
+    """The common denominator of the [re, im] pairs in rows, a list of
+    (location, row of n pairs), and their real and imaginary parts scaled
+    to it, one tuple per row.  Each part is checked in document order, and
+    an error names its location, such as initial[0][1] or
+    transitions['a'][2][0][1].  The lcm is capped at _MAX_DEN_DIGITS digits:
+    every part is scaled to it, so without a cap a few dozen coprime
+    denominators would make every scaled part huge."""
     nums, dens = [], []
     den = 1
-    for r, rowobj in enumerate(obj):
-        if not isinstance(rowobj, list) or len(rowobj) != n:
-            raise QfaFormatError(f"{where}[{r}]: expected {n} entries")
-        for c, pair in enumerate(rowobj):
-            _check_pair(pair, where, r, c)
+    for where, row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise QfaFormatError(f"{where}: expected {n} entries")
+        for c, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise QfaFormatError(
+                    f"{where}[{c}]: expected a [re, im] pair of strings"
+                )
             for part in (0, 1):
-                p, q = _rational_parts(pair[part], where, r, c, part)
+                p, q = _rational_parts(pair[part], where, c, part)
                 if den % q:
                     den = lcm(den, q)
                     if den >= _MAX_DEN:
                         raise QfaFormatError(
-                            f"{_locate(where, r, c, part)}: common denominator "
+                            f"{_locate(where, c, part)}: common denominator "
                             f"exceeds {_MAX_DEN_DIGITS} digits"
                         )
                 nums.append(p)
                 dens.append(q)
     scaled = [p * (den // q) for p, q in zip(nums, dens)]
     width = 2 * n
-    starts = range(0, n * width, width)
+    starts = range(0, len(scaled), width)
     re = tuple(tuple(scaled[i : i + width : 2]) for i in starts)
     im = tuple(tuple(scaled[i + 1 : i + width : 2]) for i in starts)
-    return CMatrix._from_ints(den, re, im)
+    return den, re, im
 
 
-def _format_matrix(m: CMatrix) -> list:
-    """Each entry of m as a reduced [re, im] pair, one gcd per part."""
-    den = m.den
+def _format_rows(den: int, re: tuple, im: tuple) -> list:
+    """Each entry of (re + i*im)/den as a reduced [re, im] pair of "p/q"
+    strings, one gcd per part."""
 
     def part(x: int) -> str:
         g = gcd(x, den)
-        return f"{x // g}/{den // g}"
+        return _ratio_text(x // g, den // g)
 
     return [
         [[part(x), part(y)] for x, y in zip(xs, ys)]
-        for xs, ys in zip(m.re, m.im)
+        for xs, ys in zip(re, im)
     ]
 
 
@@ -236,9 +214,8 @@ def parse_qfa(text: str) -> KLetterQFA:
         raise QfaFormatError(
             f"initial: expected {n} entries, found {len(obj['initial'])}"
         )
-    initial = tuple(
-        _parse_complex(pair, f"initial[{i}]") for i, pair in enumerate(obj["initial"])
-    )
+    den, (xs,), (ys,) = _read_rows([("initial", obj["initial"])], n)
+    initial = _row_vector((den, xs, ys))
     accepting = frozenset(
         _require_int(q, f"accepting[{i}]", 0) for i, q in enumerate(obj["accepting"])
     )
@@ -246,7 +223,11 @@ def parse_qfa(text: str) -> KLetterQFA:
     for key, matrix in obj["transitions"].items():
         if not _context_shape_ok(key, alphabet, k):
             raise QfaFormatError(f"transitions: malformed context {key!r}")
-        transitions[key] = _parse_matrix(matrix, n, f"transitions[{key!r}]")
+        where = f"transitions[{key!r}]"
+        if not isinstance(matrix, list) or len(matrix) != n:
+            raise QfaFormatError(f"{where}: expected {n} matrix rows")
+        rows = [(f"{where}[{r}]", row) for r, row in enumerate(matrix)]
+        transitions[key] = CMatrix._from_ints(*_read_rows(rows, n))
     # Every well-shaped key is a reachable context, so if any context is
     # absent, one of the first len(transitions) + 1 in context order is.
     # Looking no further keeps a short document with a large k from
@@ -267,16 +248,18 @@ def parse_qfa(text: str) -> KLetterQFA:
 def serialize_qfa(a: KLetterQFA) -> str:
     """Serialize to the canonical document text; parse_qfa inverts this
     field-for-field."""
+    s, xs, ys = _scaled_row(a.initial)
     doc = {
         "format_version": FORMAT_VERSION,
         "k": a.k,
         "alphabet": list(a.alphabet.symbols),
         "states": a.n,
-        "initial": [_format_complex(z) for z in a.initial],
+        "initial": _format_rows(s, (xs,), (ys,))[0],
         "accepting": sorted(a.accepting),
         "transitions": {
-            ctx: _format_matrix(a.transitions[ctx])
+            ctx: _format_rows(m.den, m.re, m.im)
             for ctx in reachable_contexts(a.alphabet, a.k)
+            for m in [a.transitions[ctx]]
         },
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -33,7 +33,7 @@ from .linalg import (
     start_row,
     vector,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, format_rational
 
 __all__ = [
     "LAMBDA",
@@ -121,6 +121,31 @@ def _iter_contexts(alphabet: Alphabet, k: int) -> Iterator[str]:
             yield pad + "".join(letters)
 
 
+# Caps on the automata that the generator builds, lift and validate accept,
+# and parse_qfa reads, so that an oversized request or document fails at
+# once instead of running without bound.
+_MAX_STATES = 64
+_MAX_CONTEXTS = 4096
+
+
+def _context_excess(alphabet: Alphabet, k: int) -> str | None:
+    """The problem with a window of width k over alphabet if it has more
+    than _MAX_CONTEXTS contexts, else None.  The count grows one width at a
+    time and stops at the cap, so a huge k never forms m**k."""
+    m = len(alphabet)
+    contexts = 0
+    power = 1
+    for _ in range(k):
+        power *= m
+        contexts += power
+        if contexts > _MAX_CONTEXTS:
+            return (
+                f"alphabet size {m} and window width {k} give more than "
+                f"{_MAX_CONTEXTS} contexts (the cap)"
+            )
+    return None
+
+
 def _context_at(k: int, word: str, i: int) -> str:
     if i < k:
         return LAMBDA * (k - i) + word[:i]
@@ -167,7 +192,10 @@ def _context_shape_ok(ctx: str, alphabet: Alphabet, k: int) -> bool:
 
 
 def validate(a: KLetterQFA) -> list[str]:
-    """Return a list of human-readable problems; empty means well formed."""
+    """Return a list of human-readable problems; empty means well formed.
+
+    A window with more than 4096 contexts is reported as one problem, and
+    its contexts are not enumerated."""
     problems = []
     if a.k < 1:
         problems.append(f"window width k={a.k} must be at least 1")
@@ -181,7 +209,8 @@ def validate(a: KLetterQFA) -> list[str]:
         norm = row_prob(start_row(a.initial), range(a.n))
         if norm != 1:
             problems.append(
-                f"initial vector has squared norm {norm}, expected 1"
+                f"initial vector has squared norm {format_rational(norm)}, "
+                "expected 1"
             )
     # bool is an int subclass, but its document value true fails parse_qfa.
     bad = [q for q in a.accepting if not isinstance(q, int) or isinstance(q, bool)]
@@ -191,6 +220,10 @@ def validate(a: KLetterQFA) -> list[str]:
         if not 0 <= q < a.n:
             problems.append(f"accepting state {q!r} out of range 0..{a.n - 1}")
     if a.k < 1 or a.n < 1:
+        return problems
+    excess = _context_excess(a.alphabet, a.k)
+    if excess:
+        problems.append(excess)
         return problems
     expected = reachable_contexts(a.alphabet, a.k)
     for ctx in expected:
@@ -238,24 +271,22 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     Every width-new_k context acts via the transition for its last k
     characters; the trailing slice of a padded context is exactly the padded
     context the original automaton would see at the same position, so
-    acceptance probabilities are preserved for every word.
+    acceptance probabilities are preserved for every word.  A width with
+    more than 4096 contexts is a ValueError.
     """
     if new_k < a.k:
         raise ValueError(f"cannot lift k={a.k} down to k={new_k}")
     if new_k == a.k:
         return a
+    excess = _context_excess(a.alphabet, new_k)
+    if excess:
+        raise ValueError(excess)
     transitions = {
         ctx: a.transitions[ctx[-a.k :]]
         for ctx in reachable_contexts(a.alphabet, new_k)
     }
     return KLetterQFA(a.n, a.alphabet, new_k, a.initial, a.accepting, transitions)
 
-
-# Caps on the automata that the generator builds and that parse_qfa
-# accepts, so that an oversized request or document fails at once instead
-# of running without bound.
-_MAX_STATES = 64
-_MAX_CONTEXTS = 4096
 
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled
 # Pythagorean pairs give rotation entries whose squares sum to one.
@@ -345,17 +376,9 @@ def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:
     each state is accepting with probability one half.  A request for more
     than 4096 contexts (m + m**2 + ... + m**k) or 64 states is a ValueError.
     """
-    m = len(alphabet)
-    contexts = 0
-    power = 1
-    for _ in range(k):
-        power *= m
-        contexts += power
-        if contexts > _MAX_CONTEXTS:
-            raise ValueError(
-                f"alphabet size {m} and window width {k} give more than "
-                f"{_MAX_CONTEXTS} contexts (the cap)"
-            )
+    excess = _context_excess(alphabet, k)
+    if excess:
+        raise ValueError(excess)
     rng = random.Random(seed)
     transitions = {
         ctx: random_unitary(n, rng) for ctx in reachable_contexts(alphabet, k)

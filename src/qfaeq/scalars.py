@@ -1,11 +1,17 @@
-"""Exact complex scalars with rational real and imaginary parts."""
+"""Exact complex scalars with rational real and imaginary parts, and exact
+text for rationals of any size."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["GaussianRational", "ZERO", "ONE", "IMAG"]
+__all__ = ["GaussianRational", "ZERO", "ONE", "IMAG", "format_rational"]
+
+# Python limits int-to-str conversion to 4300 digits by default, and the
+# setting is process-wide, so longer ints are written in pieces this long.
+_PIECE_DIGITS = 4000
+_PIECE = 10**_PIECE_DIGITS
 
 
 class GaussianRational:
@@ -101,6 +107,29 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _int_text(x: int) -> str:
+    """The decimal digits of x, exact at any size."""
+    pieces = []
+    rest = abs(x)
+    while rest >= _PIECE:
+        rest, piece = divmod(rest, _PIECE)
+        pieces.append(format(piece, f"0{_PIECE_DIGITS}d"))
+    pieces.append(f"-{rest}" if x < 0 else str(rest))
+    return "".join(reversed(pieces))
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """"p/q" for ints p and q > 0, exact at any size."""
+    if abs(p) < _PIECE and q < _PIECE:
+        return f"{p}/{q}"
+    return f"{_int_text(p)}/{_int_text(q)}"
+
+
+def format_rational(value: Fraction) -> str:
+    """value as "p/q" in lowest terms with q > 0, exact at any size."""
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def _coerce(value) -> GaussianRational | None:

@@ -3,9 +3,11 @@
 They form each product the plain way, entry by entry in GaussianRationals,
 and never call the package's integer kernel (``CMatrix.__mul__``,
 ``row_times_matrix``, ``is_unitary``), so a bug in that kernel cannot hide
-in both sides of a comparison.
+in both sides of a comparison.  The module also builds the hostile input
+that the document tests share.
 """
 
+import itertools
 from fractions import Fraction
 
 from qfaeq.linalg import CMatrix
@@ -68,3 +70,11 @@ def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     for i in range(1, len(word) + 1):
         m = matmul(m, a.transitions[_context_at(a.k, word, i)])
     return m
+
+
+def coprime_denominators(count):
+    """2**e - 1 for the first `count` primes e above 10000, about 3000
+    digits each and pairwise coprime: gcd(2**a - 1, 2**b - 1) is
+    2**gcd(a, b) - 1.  Three of them have an lcm past 8600 digits."""
+    primes = (e for e in range(10001, 20000) if all(e % d for d in range(2, 142)))
+    return [2**e - 1 for e in itertools.islice(primes, count)]

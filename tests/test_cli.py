@@ -13,7 +13,15 @@ import qfaeq
 from qfaeq.cli import main
 from qfaeq.io import load_qfa, serialize_qfa
 from qfaeq.linalg import CMatrix
-from qfaeq.qfa import Alphabet, KLetterQFA, always_accept_qfa, last_letter_qfa, validate
+from qfaeq.qfa import (
+    Alphabet,
+    KLetterQFA,
+    accept_prob,
+    always_accept_qfa,
+    last_letter_qfa,
+    validate,
+)
+from reference import coprime_denominators
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +76,15 @@ def test_validate_invalid_document(files, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid JSON")
     assert "Traceback" not in err
+    # a squared norm of 4401 digits, past Python's int-to-str limit
+    tiny = json.loads(serialize_qfa(always_accept_qfa(Alphabet("a"))))
+    tiny["initial"][0][0] = f"1/1{'0' * 2199}1"
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial vector has squared norm 1/1000")
+    assert len(err) > 4401
 
 
 def test_validate_missing_file(files, capsys):
@@ -75,12 +92,29 @@ def test_validate_missing_file(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_prob_prints_exact_and_decimal(files, capsys):
+def test_prob_prints_exact_and_decimal(files, capsys, tmp_path):
     assert main(["prob", files["rotation"], "a"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("9/25 ~ 0.36")
     assert main(["prob", files["rotation"], "aa"]) == 0
     assert capsys.readouterr().out.startswith("49/625 ~ ")
+    # a denominator of about 4500 digits, past Python's int-to-str limit,
+    # is printed in full
+    path = tmp_path / "g.json"
+    args = ["gen", "--states", "3", "--alphabet", "a,b", "--k", "2", "--seed", "1"]
+    assert main(args + ["-o", str(path)]) == 0
+    capsys.readouterr()
+    word = "ab" * 300
+    assert main(["prob", str(path), word]) == 0
+    exact, _, _ = capsys.readouterr().out.partition(" ~ ")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        p = Fraction(exact)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert p.denominator > 10**4300
+    assert p == accept_prob(load_qfa(path), word)
 
 
 def test_prob_empty_word(files, capsys):
@@ -269,19 +303,23 @@ def test_oversized_documents_exit_2(files, capsys, tmp_path):
     doc = json.loads(Path(files["last_letter"]).read_text())
     big = dict(doc, states=65)
     wide = dict(doc, transitions={f"x{i}": None for i in range(4097)})
-    # pairwise coprime 2**e - 1 (distinct primes e) as the first matrix's
-    # denominators, so their lcm passes 8600 digits at the third part
-    exps = [e for e in range(10001, 10200) if all(e % d for d in range(2, 101))]
+    # pairwise coprime denominators in the first matrix or in the initial
+    # vector, so their lcm passes 8600 digits at the third part
     coprime = json.loads(json.dumps(doc))
     first = next(iter(coprime["transitions"].values()))
-    dens = iter(exps)
+    dens = iter(coprime_denominators(8))
     for row in first:
         for pair in row:
-            pair[:] = [f"1/{2 ** next(dens) - 1}", f"1/{2 ** next(dens) - 1}"]
+            pair[:] = [f"1/{next(dens)}", f"1/{next(dens)}"]
+    dens = iter(coprime_denominators(4))
+    initial = dict(
+        doc, initial=[[f"1/{next(dens)}", f"1/{next(dens)}"] for _ in range(2)]
+    )
     for name, text, cap in (
         ("big", big, "exceeds the cap of 64"),
         ("wide", wide, "exceed the cap of 4096"),
-        ("coprime", coprime, "common denominator exceeds 8600 digits"),
+        ("coprime", coprime, "transitions['_a'][0][1][0]: common denominator"),
+        ("initial", initial, "initial[1][0]: common denominator exceeds 8600"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(text))

@@ -1,4 +1,3 @@
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -7,10 +6,8 @@ import pytest
 
 from qfaeq.io import (
     QfaFormatError,
-    format_rational,
     load_qfa,
     parse_qfa,
-    parse_rational,
     save_qfa,
     serialize_qfa,
 )
@@ -22,7 +19,8 @@ from qfaeq.qfa import (
     last_letter_qfa,
     random_qfa,
 )
-from qfaeq.scalars import GaussianRational
+from qfaeq.scalars import GaussianRational, format_rational
+from reference import coprime_denominators
 
 
 def rotation_qfa():
@@ -56,13 +54,36 @@ def complex_phase_qfa():
 
 
 def test_parse_rational_grammar():
-    assert parse_rational("3/5") == Fraction(3, 5)
-    assert parse_rational("-3/5") == Fraction(-3, 5)
-    assert parse_rational("7") == Fraction(7)
-    assert parse_rational("2/4") == Fraction(1, 2)  # normalized on input
+    # The initial vector and the matrices are read by one reader, so each
+    # case is checked at an entry of both.
+    doc = one_state_document()
+    for pair, value in [
+        (["3/5", "-4/5"], GaussianRational(Fraction(3, 5), Fraction(-4, 5))),
+        (["-3/5", "4/5"], GaussianRational(Fraction(-3, 5), Fraction(4, 5))),
+        (["-1", "0"], GaussianRational(-1)),
+        (["0/7", "-1"], GaussianRational(0, -1)),
+        (["6/10", "8/10"], GaussianRational(Fraction(3, 5), Fraction(4, 5))),
+    ]:
+        doc["initial"][0] = pair
+        doc["transitions"]["a"][0][0] = pair
+        a = parse_doc(doc)
+        assert a.initial == (value,)
+        assert a.transitions["a"][0, 0] == value
+    doc = one_state_document()
     for bad in ["3/0", "1.5", "3/-5", "a/b", "", "1/2/3", "0x1", None, 3]:
-        with pytest.raises(QfaFormatError, match="malformed rational"):
-            parse_rational(bad)
+        doc["initial"][0][1] = bad
+        with pytest.raises(
+            QfaFormatError, match=r"^initial\[0\]\[1\]: malformed rational"
+        ):
+            parse_doc(doc)
+        doc["initial"][0][1] = "0"
+        doc["transitions"]["a"][0][0][0] = bad
+        with pytest.raises(
+            QfaFormatError,
+            match=r"^transitions\['a'\]\[0\]\[0\]\[0\]: malformed rational",
+        ):
+            parse_doc(doc)
+        doc["transitions"]["a"][0][0][0] = "1"
 
 
 def test_format_rational_reduced_positive_denominator():
@@ -119,6 +140,10 @@ def test_unreduced_input_is_normalized():
 
 def base_document():
     return json.loads(serialize_qfa(last_letter_qfa()))
+
+
+def one_state_document():
+    return json.loads(serialize_qfa(always_accept_qfa(Alphabet("a"))))
 
 
 def parse_doc(doc):
@@ -192,6 +217,16 @@ def test_initial_norm_violation():
     doc["initial"] = [["1", "0"], ["1", "0"]]
     with pytest.raises(QfaFormatError, match="squared norm 2"):
         parse_doc(doc)
+    # a norm past Python's 4300-digit int-to-str limit is still named, in
+    # full: 1/(10**2200 + 1)**2 = 1/(10**4400 + 2*10**2200 + 1)
+    doc = one_state_document()
+    doc["initial"][0][0] = f"1/1{'0' * 2199}1"
+    zeros = "0" * 2199
+    with pytest.raises(
+        QfaFormatError,
+        match=rf"^initial vector has squared norm 1/1{zeros}2{zeros}1, expected 1$",
+    ):
+        parse_doc(doc)
 
 
 def test_non_unitary_matrix_rejected():
@@ -220,24 +255,32 @@ def test_oversized_rational_is_located():
 
 def test_rational_digit_cap_holds_without_interpreter_limit():
     # Python 3.10 has no int-conversion limit; lifting it here shows the
-    # parser enforces its own cap of 4300 digits per part.
+    # parser enforces its own cap of 4300 digits per part.  Parts at the
+    # cap are read exactly: the norm message gives their squares.
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert parse_rational("-" + "7" * 4300) == -int("7" * 4300)
-        assert parse_rational("1/" + "3" * 4300) == Fraction(1, int("3" * 4300))
-        for text in ("1" * 5000, "1/" + "3" * 4301):
+        doc = one_state_document()
+        sevens = int("7" * 4300)
+        threes = int("3" * 4300)
+        for text, norm in (
+            ("-" + "7" * 4300, f"{sevens**2}/1"),
+            ("1/" + "3" * 4300, f"1/{threes**2}"),
+        ):
+            doc["initial"][0][0] = text
             with pytest.raises(
                 QfaFormatError,
-                match=rf"^x: rational too long \({len(text)} characters\)$",
+                match=rf"^initial vector has squared norm {norm}, expected 1$",
             ):
-                parse_rational(text, "x")
-        doc = base_document()
-        doc["initial"][0][0] = "1" * 5000
-        with pytest.raises(
-            QfaFormatError, match=r"initial\[0\]\[0\]: rational too long"
-        ):
-            parse_doc(doc)
+                parse_doc(doc)
+        for text in ("1" * 5000, "1/" + "3" * 4301):
+            doc["initial"][0][0] = text
+            with pytest.raises(
+                QfaFormatError,
+                match=rf"^initial\[0\]\[0\]: rational too long "
+                rf"\({len(text)} characters\)$",
+            ):
+                parse_doc(doc)
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -288,14 +331,6 @@ def test_long_matrix_entries_parse_exactly():
         parse_doc(doc)
 
 
-def coprime_denominators(count):
-    """2**e - 1 for the first `count` primes e above 10000, about 3000
-    digits each and pairwise coprime: gcd(2**a - 1, 2**b - 1) is
-    2**gcd(a, b) - 1."""
-    primes = (e for e in range(10001, 20000) if all(e % d for d in range(2, 142)))
-    return [2**e - 1 for e in itertools.islice(primes, count)]
-
-
 def test_common_denominator_cap_is_located():
     # 72 parts over pairwise coprime denominators: the lcm of the first
     # three already passes 8600 digits, and parsing stops at the third
@@ -318,6 +353,15 @@ def test_common_denominator_cap_is_located():
     two = coprime_denominators(2)
     matrix[0][0] = [f"1/{two[0]}", f"1/{two[1]}"]
     with pytest.raises(QfaFormatError, match="'a' is not unitary"):
+        parse_doc(doc)
+    # the initial vector is read the same way: the third part stops it
+    four = iter(coprime_denominators(4))
+    doc = base_document()
+    doc["initial"] = [[f"1/{next(four)}", f"1/{next(four)}"] for _ in range(2)]
+    with pytest.raises(
+        QfaFormatError,
+        match=r"^initial\[1\]\[0\]: common denominator exceeds 8600 digits$",
+    ):
         parse_doc(doc)
 
 

@@ -282,6 +282,24 @@ def test_random_generation_caps():
     assert len(random_qfa(1, Alphabet("a"), 4096, seed=0).transitions) == 4096
 
 
+def test_validate_and_lift_cap_contexts():
+    # 2 + 4 + ... + 2**40 contexts: reported, or refused, without
+    # enumerating them
+    a = last_letter_qfa()
+    wide = KLetterQFA(2, a.alphabet, 40, a.initial, a.accepting, a.transitions)
+    assert validate(wide) == [
+        "alphabet size 2 and window width 40 give more than 4096 contexts "
+        "(the cap)"
+    ]
+    with pytest.raises(ValueError, match="width 40 give more than 4096"):
+        lift(a, 40)
+    # one letter: 4096 contexts are at the cap, 4097 past it
+    one = always_accept_qfa(Alphabet("a"))
+    assert validate(lift(one, 4096)) == []
+    with pytest.raises(ValueError, match="width 4097 give more than 4096"):
+        lift(one, 4097)
+
+
 def test_random_generation_is_pinned():
     # Every seeded test, digest and benchmark input is built by random_qfa.
     # The accepting set is drawn last, so this also pins the RNG state that

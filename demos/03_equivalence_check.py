@@ -21,6 +21,7 @@ from qfaeq import (
     brute_force,
     decide,
     last_letter_qfa,
+    lift,
     random_qfa,
     theorem4_bound,
 )
@@ -69,10 +70,16 @@ print("  brute-force agrees:", vb == v,
 # whose diagonal entries sum to zero, so a suffix class never needs more
 # than n1^2 + n2^2 - 1 rows; the verdict carries the counts.  On the
 # equivalent pair the search ran to the end and seeded every class; on the
-# random pair it stopped at the witness before seeding any.
+# random pair it stopped at the witness before seeding any.  A lifted
+# automaton is searched at the width it was lifted from: a one-letter
+# automaton against its three-letter lift grows the single class ''.
 print("\nsearch statistics:")
 print("  phase-scaled copy: class sizes", same.basis_sizes,
       " nodes processed", same.nodes_processed,
       " per-class cap", same_cap)
 print("  random pair      : class sizes", v.basis_sizes,
       " nodes processed", v.nodes_processed)
+one = random_qfa(2, two, k=1, seed=3)
+lifted = decide(one, lift(one, 3))
+print("  lifted pair      : class sizes", lifted.basis_sizes,
+      " nodes processed", lifted.nodes_processed)

@@ -26,7 +26,10 @@ Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
 suffix class, the last k-1 letters for k = max(k1, k2), visits only
 polynomially many words (see :func:`basis_search`), and no row outside the
-collected spans can introduce a new violation.  The search visits words in
+collected spans can introduce a new violation.  :func:`decide` first undoes
+lifts (:func:`~qfaeq.qfa._narrow`), so k is the larger effective width: an
+automaton whose transitions depend only on its last j letters counts as
+width j, whatever width it declares.  The search visits words in
 length-then-alphabet order and stops at the first row with a nonzero
 accepting sum, which names the least counterexample.  :func:`brute_force`
 is an independent oracle that compares acceptance probabilities word by
@@ -51,7 +54,7 @@ from .linalg import (
     span_insert,
     start_row,
 )
-from .qfa import KLetterQFA, _context_at, accept_prob
+from .qfa import KLetterQFA, _context_at, _narrow, accept_prob
 
 __all__ = [
     "Verdict",
@@ -70,7 +73,9 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     than R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total
     rank of its suffix classes, because a checked word of length L >= k - 1
     has L - k + 1 ancestors of lengths k - 1 .. L - 1, each inserted and so
-    adding one to that rank.
+    adding one to that rank.  Both bounds also hold with k the larger
+    effective width, the width :func:`decide` searches at after undoing
+    lifts, which can be smaller than the declared one.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
@@ -199,7 +204,7 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> SuffixBasisMap:
     return sbm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of an equivalence check.
 
@@ -209,9 +214,10 @@ class Verdict:
     cap), and ``p1 != p2`` are those exact probabilities.
 
     ``nodes_processed`` counts the rows :func:`decide` checked for words of
-    length k = max(k1, k2) or more, or the words compared by
-    :func:`brute_force`; ``basis_sizes`` maps each
-    suffix class seeded before the search ended to its basis size (``None``
+    length k or more, where k is the larger effective width (the declared
+    max(k1, k2) unless an automaton is a lift), or the words compared by
+    :func:`brute_force`; ``basis_sizes`` maps each suffix class, the last
+    k-1 letters, seeded before the search ended to its basis size (``None``
     for brute force).  Neither takes part in equality, so two verdicts are
     equal when they give the same answer.
     """
@@ -229,9 +235,13 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
 
     Exact throughout; the verdict carries the least witness word and both
     acceptance probabilities whenever the automata differ, and the search
-    counts either way.
+    counts either way.  The search runs on :func:`~qfaeq.qfa._narrow` of
+    each automaton, the least-width automaton that lifts back to it and so
+    accepts every word with the same probability; its suffix classes are
+    the last k-1 letters for k the larger effective width.  The
+    probabilities are read off the automata as given.
     """
-    sbm = basis_search(a1, a2)
+    sbm = basis_search(_narrow(a1), _narrow(a2))
     counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
     word = sbm.witness
     if word is None:

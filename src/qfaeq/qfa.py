@@ -272,7 +272,8 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     characters; the trailing slice of a padded context is exactly the padded
     context the original automaton would see at the same position, so
     acceptance probabilities are preserved for every word.  A width with
-    more than 4096 contexts is a ValueError.
+    more than 4096 contexts is a ValueError.  Its inverse is :func:`_narrow`:
+    ``lift(_narrow(a), a.k) == a`` for every well-formed a.
     """
     if new_k < a.k:
         raise ValueError(f"cannot lift k={a.k} down to k={new_k}")
@@ -286,6 +287,27 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
         for ctx in reachable_contexts(a.alphabet, new_k)
     }
     return KLetterQFA(a.n, a.alphabet, new_k, a.initial, a.accepting, transitions)
+
+
+def _narrow(a: KLetterQFA) -> KLetterQFA:
+    """The inverse of :func:`lift`: the automaton of the least width j whose
+    lift to a.k is a, or a itself when no j < a.k has one.
+
+    Width j fits when every two contexts, padded ones included, that end in
+    the same j characters have the same matrix (by value); the narrowed
+    automaton keeps those matrix objects keyed by those j characters.  A
+    width that fits makes every wider one fit, so the window shrinks one
+    letter at a time, dropping the first character of every context, until
+    a missing context or a mismatch stops it.
+    """
+    while a.k > 1:
+        transitions = {}
+        for ctx in _iter_contexts(a.alphabet, a.k):
+            m = a.transitions.get(ctx)
+            if m is None or transitions.setdefault(ctx[1:], m) != m:
+                return a
+        a = KLetterQFA(a.n, a.alphabet, a.k - 1, a.initial, a.accepting, transitions)
+    return a
 
 
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled

@@ -40,6 +40,7 @@ from qfaeq.linalg import (
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
+    _narrow,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -224,6 +225,10 @@ def run_fingerprint(run):
     )
 
 
+def grid_digest(records):
+    return hashlib.sha256("".join(map(repr, records)).encode()).hexdigest()
+
+
 def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
     runs, elapsed = grid_runs
     with criterion(
@@ -248,26 +253,16 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
                 # the empty word, so any witness has positive length
                 if not r.verdict.equivalent:
                     assert len(r.verdict.witness) >= 1
-        # pins every verdict, witness, probability and search count on the
-        # grid; a change that alters them on purpose updates this digest
-        digest = hashlib.sha256(
-            "".join(
-                repr(
-                    (
-                        v.equivalent,
-                        v.witness,
-                        v.p1,
-                        v.p2,
-                        v.nodes_processed,
-                        sorted(v.basis_sizes.items()),
-                    )
-                )
-                for v in (r.verdict for r in runs)
-            ).encode()
-        ).hexdigest()
-        assert digest == (
-            "945c7cee90808f8e4b92c0495064c6c6474fc4313e3aec8c4762010a4a48cdfb"
-        )
+        # two pins on the grid: the answers (every verdict, witness and
+        # probability), which no change to the search may move, and the
+        # search counts, which a change to the search updates on purpose
+        verdicts = [r.verdict for r in runs]
+        assert grid_digest(
+            (v.equivalent, v.witness, v.p1, v.p2) for v in verdicts
+        ) == "f6ff32b7ed61d5b5ed8248dcbb6b08256e35f59fc8748186216b5bba18966944"
+        assert grid_digest(
+            (v.nodes_processed, sorted(v.basis_sizes.items())) for v in verdicts
+        ) == "0a7cbee5cf036e2247be10bfe8e9a32fcf1e0f656a5e5720c87cbf35ce1bf7e2"
         # decide is basis_search read off; spot-check the pieces
         for r in runs[::24]:
             sbm = basis_search(r.a1, r.a2)
@@ -343,7 +338,7 @@ def test_criterion_3_bound_conformance(grid_runs, acceptance_report):
 
 def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
     runs, _ = grid_runs
-    reached = 0
+    reached = narrowed = 0
     with criterion(
         acceptance_report,
         "criterion 4: per-class rank n1^2 + n2^2 - 1, total, and queue "
@@ -353,7 +348,10 @@ def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
             # real coordinates of two Hermitian blocks whose diagonals sum
             # to 0: a class spans at most n1^2 + n2^2 - 1 dimensions
             d = r.a1.n**2 + r.a2.n**2 - 1
-            m, k = r.m, r.joint_k
+            # the width the pair was built at: decide searches a lift at
+            # the width of the automaton it was lifted from
+            m = r.m
+            k = min(r.a1.k, r.a2.k) if r.kind == "lift" else r.joint_k
             assert all(s <= d for s in r.basis_sizes.values())
             assert r.total_size <= d * m ** (k - 1)
             assert r.processed <= m**k * d
@@ -361,7 +359,9 @@ def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
                 # only a full search seeds every class
                 assert len(r.basis_sizes) == m ** (k - 1)
                 reached += d in r.basis_sizes.values()
+                narrowed += k < r.joint_k
         assert reached > 0
+        assert narrowed > 0
 
 
 def test_criterion_5_worked_example(acceptance_report):
@@ -493,7 +493,7 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
     with criterion(
         acceptance_report,
         "criterion 7: exact norm preservation on 100 automata; lift agrees "
-        "on all words up to length 4",
+        "on all words up to length 4, and its inverse up to length 6",
     ):
         for i in range(100):
             n, m, k = shapes[i % len(shapes)]
@@ -513,3 +513,8 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
             wider = lift(a, k + 1)
             for word in iter_words(alphabet, 4):
                 assert accept_prob(wider, word) == accept_prob(a, word)
+            # the automaton decide searches in place of the lift
+            narrowed = _narrow(wider)
+            assert narrowed.k <= k and lift(narrowed, k + 1) == wider
+            for word in iter_words(alphabet, 6):
+                assert accept_prob(narrowed, word) == accept_prob(wider, word)

@@ -175,6 +175,19 @@ def test_join_lifts_mixed_window_widths():
     assert witnesses == [None, "a", "bb"]
 
 
+def test_decide_searches_lifts_at_their_effective_width():
+    # a lift is searched at the width it was lifted from: its classes, and
+    # with them the counts, are those of the narrower pair
+    for k, classes in [(1, [""]), (2, ["a", "b"])]:
+        a = random_qfa(2, AB, k, seed=21)
+        v, same = decide(a, lift(a, 3)), decide(a, a)
+        assert v.equivalent
+        assert sorted(v.basis_sizes) == classes
+        assert (v.nodes_processed, v.basis_sizes) == (
+            same.nodes_processed, same.basis_sizes
+        )
+
+
 def test_bilinear_identity_on_seeded_samples():
     rng = random.Random(2024)
     cases = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfaeq.io import serialize_qfa
+from qfaeq.io import parse_qfa, serialize_qfa
 from qfaeq.linalg import (
     CMatrix,
     _row_vector,
@@ -17,6 +17,7 @@ from qfaeq.linalg import (
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
+    _narrow,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -355,6 +356,48 @@ def test_lift_reuses_transition_matrices():
     assert wider.transitions["aab"] is a.transitions["ab"]
     assert wider.transitions["_ab"] is a.transitions["ab"]
     assert wider.transitions["__a"] is a.transitions["_a"]
+
+
+def test_narrow_undoes_lift():
+    # the automaton lifted from comes back field for field: its width and,
+    # by value, its matrices keyed by its own contexts
+    for m in (1, 2, 3):
+        alphabet = Alphabet("abc"[:m])
+        for k in (1, 2):
+            a = random_qfa(2, alphabet, k, seed=10 * m + k)
+            assert _narrow(a) is a
+            for wide in range(k + 1, 6):
+                assert _narrow(lift(a, wide)) == a
+            # a document holds one matrix object per context: equal by value
+            assert _narrow(parse_qfa(serialize_qfa(lift(a, 3)))) == a
+
+
+def test_narrow_keeps_genuine_width():
+    # a lift with its last context changed differs from the lift there only
+    lifted = lift(random_qfa(2, Alphabet("ab"), 1, seed=4), 3)
+    twisted = dict(lifted.transitions, bbb=random_unitary(2, random.Random(4)))
+    for a in [
+        random_qfa(2, Alphabet("ab"), 2, seed=4),
+        random_qfa(2, Alphabet("ab"), 3, seed=4),
+        last_letter_qfa(),
+        KLetterQFA(2, lifted.alphabet, 3, lifted.initial, lifted.accepting, twisted),
+    ]:
+        assert _narrow(a) is a
+
+
+def test_narrow_compares_padded_contexts():
+    # all-identity transitions narrow to width 1; once the padded "_a"
+    # differs from "aa" and "ba", which still agree, the width stays 2
+    swap = CMatrix([[ZERO, ONE], [ONE, ZERO]])
+    eye = CMatrix.identity(2)
+    transitions = dict.fromkeys(reachable_contexts(Alphabet("ab"), 2), eye)
+    a = KLetterQFA(2, Alphabet("ab"), 2, (ONE, ZERO), {1}, transitions)
+    assert _narrow(a).transitions == {"a": eye, "b": eye}
+    transitions["_a"] = swap
+    a = KLetterQFA(2, Alphabet("ab"), 2, (ONE, ZERO), {1}, transitions)
+    assert validate(a) == []
+    assert _narrow(a) is a
+    assert accept_prob(a, "a") != accept_prob(a, "b")
 
 
 def test_norm_preserved_along_runs():

@@ -9,7 +9,7 @@ questions.
 from fractions import Fraction
 
 from qfaeq import CMatrix, GaussianRational, is_unitary
-from qfaeq.linalg import span_insert, span_reduce
+from qfaeq.linalg import span_insert
 
 # A Gaussian rational is re + im*i with both parts Fraction.
 z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
@@ -52,5 +52,4 @@ for name, v in [("v1", v1), ("v2", v2)]:
 combo = [Fraction(1), Fraction(4), Fraction(5)]
 added = span_insert(basis, combo)
 print(f"insert v1 + 2*v2: new direction = {added}, rank = {len(basis)}")
-print("residual of v1 + 2*v2:", [str(x) for x in span_reduce(basis, combo)])
 print("pivot columns:", sorted(basis))

@@ -28,7 +28,7 @@ from .io import QfaFormatError, load_qfa, save_qfa
 from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
 from .scalars import format_rational
 
-__all__ = ["cli_main", "main"]
+__all__ = ["cli_main"]
 
 
 def _print_report(report: dict, as_json: bool) -> None:
@@ -193,10 +193,6 @@ def cli_main(argv=None) -> int:
     except (OSError, QfaFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return cli_main(argv)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from typing import NamedTuple
 
 from .linalg import (
     CMatrix,
-    Vector,
     _row_vector,
     _scaled_row,
     conj_vector,
@@ -87,8 +86,8 @@ class QueueItem(NamedTuple):
     and v2(x) = psi2^dagger mubar2(x)."""
 
     word: str
-    v1: Vector
-    v2: Vector
+    v1: tuple
+    v2: tuple
 
 
 def require_shared_alphabet(a1: KLetterQFA, a2: KLetterQFA) -> None:
@@ -114,12 +113,12 @@ def extend(
     )
 
 
-def _step(v: Vector, m: CMatrix) -> Vector:
+def _step(v: tuple, m: CMatrix) -> tuple:
     """v times m, taken as an integer row step."""
     return _row_vector(row_times_matrix(_scaled_row(v), m))
 
 
-def _block_coordinates(v: Vector):
+def _block_coordinates(v: tuple):
     """The real coordinates of v^dagger v, whose (p, q) entry is
     conj(v_p) v_q: the diagonal |v_p|^2, then the real and imaginary parts
     of each entry above the diagonal in row-major order."""
@@ -157,9 +156,6 @@ class SuffixBasisMap:
     bases: dict = field(default_factory=dict)
     witness: str | None = None
     processed: int = 0
-
-    def basis_sizes(self) -> dict:
-        return {w: len(b) for w, b in self.bases.items()}
 
 
 def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> SuffixBasisMap:
@@ -240,9 +236,16 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     accepts every word with the same probability; its suffix classes are
     the last k-1 letters for k the larger effective width.  The
     probabilities are read off the automata as given.
+
+    ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
+    both automata are well formed and within the size caps.  Automata from
+    :func:`~qfaeq.io.parse_qfa` or :func:`~qfaeq.qfa.random_qfa` are;
+    library callers who build a :class:`~qfaeq.qfa.KLetterQFA` by hand must
+    validate it first.
     """
     sbm = basis_search(_narrow(a1), _narrow(a2))
-    counts = {"nodes_processed": sbm.processed, "basis_sizes": sbm.basis_sizes()}
+    sizes = {w: len(b) for w, b in sbm.bases.items()}
+    counts = {"nodes_processed": sbm.processed, "basis_sizes": sizes}
     word = sbm.witness
     if word is None:
         return Verdict(equivalent=True, **counts)

@@ -31,19 +31,15 @@ from typing import Iterable
 from .scalars import GaussianRational, _coerce
 
 __all__ = [
-    "Vector",
     "CMatrix",
     "conj_vector",
     "is_unitary",
     "row_prob",
     "row_times_matrix",
     "span_insert",
-    "span_reduce",
     "start_row",
     "vector",
 ]
-
-Vector = tuple
 
 
 def as_scalar(value) -> GaussianRational:
@@ -66,8 +62,8 @@ class CMatrix:
     canonical, so equality and hashing compare it directly.  Indexing and
     :meth:`column` return :class:`GaussianRational` entries, and ``data``
     builds the matrix as a tuple of row tuples of them on every access.
-    Multiplication and the conjugate transpose stay exact; there is no
-    floating-point path anywhere in this class.
+    Multiplication stays exact; there is no floating-point path anywhere in
+    this class.
     """
 
     __slots__ = ("nrows", "ncols", "den", "re", "im")
@@ -127,7 +123,7 @@ class CMatrix:
         i, j = index
         return _entry(self.re[i][j], self.im[i][j], self.den)
 
-    def column(self, j: int) -> Vector:
+    def column(self, j: int) -> tuple:
         den = self.den
         return tuple(_entry(xs[j], ys[j], den) for xs, ys in zip(self.re, self.im))
 
@@ -155,11 +151,6 @@ class CMatrix:
             tuple(tuple(im) for _, im in rows),
         )
 
-    def dagger(self) -> "CMatrix":
-        """Conjugate transpose."""
-        im = tuple(tuple(-x for x in col) for col in zip(*self.im))
-        return CMatrix._from_ints(self.den, tuple(zip(*self.re)), im)
-
     def __repr__(self) -> str:
         rows = "; ".join(
             " ".join(str(x) for x in row) for row in self.data
@@ -183,7 +174,7 @@ def _times_columns(vr: tuple, vi: tuple, cols: list) -> tuple[list, list]:
 
 
 def is_unitary(a: CMatrix) -> bool:
-    """Exact test that a.dagger() * a is the identity: over the integers,
+    """Exact test that A^dagger A is the identity: over the integers,
     that column p of den*a has squared norm den^2 and is orthogonal to every
     later column."""
     if not a.is_square:
@@ -203,15 +194,15 @@ def is_unitary(a: CMatrix) -> bool:
     return True
 
 
-def vector(entries: Iterable) -> Vector:
+def vector(entries: Iterable) -> tuple:
     return tuple(as_scalar(x) for x in entries)
 
 
-def conj_vector(v: Vector) -> Vector:
+def conj_vector(v: tuple) -> tuple:
     return tuple(x.conjugate() for x in v)
 
 
-def _scaled_row(v: Vector) -> tuple:
+def _scaled_row(v: tuple) -> tuple:
     """The row (s, re, im) of a vector of GaussianRationals, with s the lcm
     of their denominators, so that gcd(s, *re, *im) = 1."""
     s = lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v))
@@ -222,12 +213,12 @@ def _scaled_row(v: Vector) -> tuple:
     )
 
 
-def start_row(ket: Vector) -> tuple:
+def start_row(ket: tuple) -> tuple:
     """The row of conj(ket), where every run starts."""
     return _scaled_row(conj_vector(ket))
 
 
-def _row_vector(row: tuple) -> Vector:
+def _row_vector(row: tuple) -> tuple:
     """The GaussianRational entries of a row (s, re, im)."""
     s, re, im = row
     return tuple(_entry(x, y, s) for x, y in zip(re, im))
@@ -254,14 +245,18 @@ def row_prob(row: tuple, positions: Iterable[int]) -> Fraction:
     return Fraction(sum(re[q] * re[q] + im[q] * im[q] for q in positions), s * s)
 
 
-def span_reduce(basis: dict, row) -> list:
-    """Residual of row after clearing every pivot column of basis, in one
-    pass.
+def span_insert(basis: dict, row) -> bool:
+    """Add row to the span of basis, in place, if it is independent.
 
     ``basis`` is a fully reduced row-echelon basis: a dict from pivot column
     to row, each row exactly one at its pivot and zero at every other
-    pivot.  With that invariant the pivots can be cleared in any order, and
-    the residual is zero exactly when row lies in the span.
+    pivot.  With that invariant one pass clears every pivot column of row in
+    any order, and the residual is zero exactly when row lies in the span;
+    then basis is left unchanged and the result is False.  Otherwise the
+    residual is normalized to a unit pivot at its first nonzero column,
+    eliminated from every existing row, and stored under that pivot, which
+    keeps the basis fully reduced; the result is True.  Zero rows are never
+    stored, so ``len(basis)`` never exceeds the row length.
     """
     residual = list(row)
     for pivot, brow in basis.items():
@@ -270,19 +265,6 @@ def span_reduce(basis: dict, row) -> list:
             for j, y in enumerate(brow):
                 if y:
                     residual[j] -= c * y
-    return residual
-
-
-def span_insert(basis: dict, row) -> bool:
-    """Add row to the span of basis, in place, if it is independent.
-
-    Returns False and leaves basis unchanged when row already lies in the
-    span.  Otherwise the residual is normalized to a unit pivot at its first
-    nonzero column, eliminated from every existing row, and stored under
-    that pivot, which keeps the basis fully reduced; returns True.  Zero rows
-    are never stored, so ``len(basis)`` never exceeds the row length.
-    """
-    residual = span_reduce(basis, row)
     pivot = next((i for i, x in enumerate(residual) if x), None)
     if pivot is None:
         return False

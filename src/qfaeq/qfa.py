@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 
 from .linalg import (
     CMatrix,
-    Vector,
     is_unitary,
     row_prob,
     row_times_matrix,
@@ -172,7 +171,7 @@ class KLetterQFA:
     n: int
     alphabet: Alphabet
     k: int
-    initial: Vector
+    initial: tuple
     accepting: frozenset
     transitions: dict
 

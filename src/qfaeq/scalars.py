@@ -85,8 +85,8 @@ class GaussianRational:
             return NotImplemented
         a, b = self.re, self.im
         c, d = other.re, other.im
-        # Skip the cross terms when an imaginary part is zero; matrix products
-        # over mostly-real entries spend nearly all their time here.
+        # Skip the cross terms when an imaginary part is zero, as it is for
+        # real-valued automata in the search's block coordinates.
         if not b:
             if not d:
                 return GaussianRational(a * c)

@@ -2,9 +2,9 @@
 
 They form each product the plain way, entry by entry in GaussianRationals,
 and never call the package's integer kernel (``CMatrix.__mul__``,
-``row_times_matrix``, ``is_unitary``), so a bug in that kernel cannot hide
-in both sides of a comparison.  The module also builds the hostile input
-that the document tests share.
+``row_times_matrix``, ``is_unitary``) or its span basis (``span_insert``),
+so a bug in either cannot hide in both sides of a comparison.  The module
+also builds the hostile input that the document tests share.
 """
 
 import itertools
@@ -70,6 +70,39 @@ def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     for i in range(1, len(word) + 1):
         m = matmul(m, a.transitions[_context_at(a.k, word, i)])
     return m
+
+
+def naive_rank(vectors) -> int:
+    """Rank by textbook Gaussian elimination over mutable row lists, with no
+    pivots shared with the package's span basis."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        lead = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / lead
+                rows[r] = [
+                    x - factor * y for x, y in zip(rows[r], rows[rank])
+                ]
+        rank += 1
+    return rank
+
+
+def in_span(rows, row) -> bool:
+    """Whether row is a linear combination of rows: adding it leaves the
+    rank unchanged."""
+    rows = list(rows)
+    return naive_rank(rows + [row]) == naive_rank(rows)
 
 
 def coprime_denominators(count):

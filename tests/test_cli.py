@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qfaeq
-from qfaeq.cli import main
+from qfaeq.cli import cli_main
 from qfaeq.io import load_qfa, serialize_qfa
 from qfaeq.linalg import CMatrix
 from qfaeq.qfa import (
@@ -63,16 +63,16 @@ def files(tmp_path_factory):
 
 
 def test_validate_ok(files, capsys):
-    assert main(["validate", files["last_letter"]]) == 0
+    assert cli_main(["validate", files["last_letter"]]) == 0
     assert "ok:" in capsys.readouterr().out
 
 
 def test_validate_invalid_document(files, capsys, tmp_path):
-    assert main(["validate", files["broken"]]) == 2
+    assert cli_main(["validate", files["broken"]]) == 2
     assert "error:" in capsys.readouterr().err
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200_000)
-    assert main(["validate", str(nested)]) == 2
+    assert cli_main(["validate", str(nested)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid JSON")
     assert "Traceback" not in err
@@ -81,31 +81,31 @@ def test_validate_invalid_document(files, capsys, tmp_path):
     tiny["initial"][0][0] = f"1/1{'0' * 2199}1"
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(tiny))
-    assert main(["validate", str(path)]) == 2
+    assert cli_main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: initial vector has squared norm 1/1000")
     assert len(err) > 4401
 
 
 def test_validate_missing_file(files, capsys):
-    assert main(["validate", files["dir"] + "/nope.json"]) == 2
+    assert cli_main(["validate", files["dir"] + "/nope.json"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_prob_prints_exact_and_decimal(files, capsys, tmp_path):
-    assert main(["prob", files["rotation"], "a"]) == 0
+    assert cli_main(["prob", files["rotation"], "a"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("9/25 ~ 0.36")
-    assert main(["prob", files["rotation"], "aa"]) == 0
+    assert cli_main(["prob", files["rotation"], "aa"]) == 0
     assert capsys.readouterr().out.startswith("49/625 ~ ")
     # a denominator of about 4500 digits, past Python's int-to-str limit,
     # is printed in full
     path = tmp_path / "g.json"
     args = ["gen", "--states", "3", "--alphabet", "a,b", "--k", "2", "--seed", "1"]
-    assert main(args + ["-o", str(path)]) == 0
+    assert cli_main(args + ["-o", str(path)]) == 0
     capsys.readouterr()
     word = "ab" * 300
-    assert main(["prob", str(path), word]) == 0
+    assert cli_main(["prob", str(path), word]) == 0
     exact, _, _ = capsys.readouterr().out.partition(" ~ ")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -118,24 +118,24 @@ def test_prob_prints_exact_and_decimal(files, capsys, tmp_path):
 
 
 def test_prob_empty_word(files, capsys):
-    assert main(["prob", files["last_letter"], ""]) == 0
+    assert cli_main(["prob", files["last_letter"], ""]) == 0
     assert capsys.readouterr().out.startswith("0/1 ~ 0")
 
 
 def test_prob_foreign_letter(files, capsys):
-    assert main(["prob", files["rotation"], "ax"]) == 2
+    assert cli_main(["prob", files["rotation"], "ax"]) == 2
     assert "not in alphabet" in capsys.readouterr().err
 
 
 def test_equiv_identical_files(files, capsys):
-    assert main(["equiv", files["last_letter"], files["last_letter"]]) == 0
+    assert cli_main(["equiv", files["last_letter"], files["last_letter"]]) == 0
     out = capsys.readouterr().out
     assert "verdict: equivalent" in out
     assert "witness" not in out
 
 
 def test_equiv_last_letter_vs_always(files, capsys):
-    rc = main(["equiv", files["last_letter"], files["always"]])
+    rc = cli_main(["equiv", files["last_letter"], files["always"]])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
     assert lines[-1].startswith("wall_ms: ")
@@ -152,7 +152,7 @@ def test_equiv_last_letter_vs_always(files, capsys):
 
 
 def test_equiv_json_schema(files, capsys):
-    rc = main(["equiv", files["last_letter"], files["always"], "--json"])
+    rc = cli_main(["equiv", files["last_letter"], files["always"], "--json"])
     assert rc == 1
     report = json.loads(capsys.readouterr().out)
     assert list(report) == [
@@ -175,16 +175,16 @@ def test_equiv_json_schema(files, capsys):
 
 
 def test_equiv_json_stable_modulo_wall_time(files, capsys):
-    main(["equiv", files["last_letter"], files["always"], "--json"])
+    cli_main(["equiv", files["last_letter"], files["always"], "--json"])
     first = json.loads(capsys.readouterr().out)
-    main(["equiv", files["last_letter"], files["always"], "--json"])
+    cli_main(["equiv", files["last_letter"], files["always"], "--json"])
     second = json.loads(capsys.readouterr().out)
     del first["stats"]["wall_ms"], second["stats"]["wall_ms"]
     assert first == second
 
 
 def test_equiv_bruteforce_method(files, capsys):
-    rc = main(
+    rc = cli_main(
         [
             "equiv",
             files["last_letter"],
@@ -200,7 +200,7 @@ def test_equiv_bruteforce_method(files, capsys):
     assert "method: bruteforce" in out
     assert "witness: ''" in out
     assert "bound_used: 4" in out  # the depth compared, not the Theorem 4 bound
-    rc = main(
+    rc = cli_main(
         [
             "equiv",
             files["last_letter"],
@@ -213,7 +213,7 @@ def test_equiv_bruteforce_method(files, capsys):
     )
     assert rc == 0
     capsys.readouterr()
-    rc = main(
+    rc = cli_main(
         [
             "equiv",
             files["last_letter"],
@@ -230,14 +230,14 @@ def test_equiv_bruteforce_method(files, capsys):
     # rather than ignored
     for method in ([], ["--method", "algebraic"]):
         argv = ["equiv", files["last_letter"], files["always"], "--max-len", "4"]
-        assert main(argv + method) == 2
+        assert cli_main(argv + method) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --max-len:")
 
 
 def test_equiv_alphabet_mismatch(files, capsys):
-    assert main(["equiv", files["rotation"], files["always"]]) == 2
+    assert cli_main(["equiv", files["rotation"], files["always"]]) == 2
     assert "alphabet mismatch" in capsys.readouterr().err
 
 
@@ -245,26 +245,26 @@ def test_bound_binary_two_state_pair(files, capsys, tmp_path):
     f1 = tmp_path / "g1.json"
     f2 = tmp_path / "g2.json"
     assert (
-        main(
+        cli_main(
             ["gen", "--states", "2", "--alphabet", "a,b", "--k", "2",
              "--seed", "1", "-o", str(f1)]
         )
         == 0
     )
     assert (
-        main(
+        cli_main(
             ["gen", "--states", "2", "--alphabet", "a,b", "--k", "2",
              "--seed", "2", "-o", str(f2)]
         )
         == 0
     )
     capsys.readouterr()
-    assert main(["bound", str(f1), str(f2)]) == 0
+    assert cli_main(["bound", str(f1), str(f2)]) == 0
     assert capsys.readouterr().out.strip() == "32"
 
 
 def test_bound_mixed_sizes(files, capsys):
-    assert main(["bound", files["last_letter"], files["always"]]) == 0
+    assert cli_main(["bound", files["last_letter"], files["always"]]) == 0
     assert capsys.readouterr().out.strip() == "18"
 
 
@@ -272,14 +272,14 @@ def test_gen_writes_valid_deterministic_file(files, capsys, tmp_path):
     f1 = tmp_path / "a.json"
     f2 = tmp_path / "b.json"
     args = ["gen", "--states", "3", "--alphabet", "a,b", "--k", "1", "--seed", "9"]
-    assert main(args + ["-o", str(f1)]) == 0
-    assert main(args + ["-o", str(f2)]) == 0
+    assert cli_main(args + ["-o", str(f1)]) == 0
+    assert cli_main(args + ["-o", str(f2)]) == 0
     assert validate(load_qfa(f1)) == []
     assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_gen_rejects_bad_alphabet(files, capsys, tmp_path):
-    rc = main(
+    rc = cli_main(
         ["gen", "--states", "2", "--alphabet", "ab", "--k", "1",
          "--seed", "0", "-o", str(tmp_path / "x.json")]
     )
@@ -290,7 +290,7 @@ def test_gen_rejects_bad_alphabet(files, capsys, tmp_path):
 def test_gen_rejects_oversized_request(capsys, tmp_path):
     # 2 + 4 + ... + 2**40 contexts: refused before any matrix is built
     out = tmp_path / "x.json"
-    rc = main(
+    rc = cli_main(
         ["gen", "--states", "2", "--alphabet", "a,b", "--k", "40",
          "--seed", "0", "-o", str(out)]
     )
@@ -327,22 +327,22 @@ def test_oversized_documents_exit_2(files, capsys, tmp_path):
             ["validate", str(path)],
             ["equiv", str(path), files["last_letter"]],
         ):
-            assert main(argv) == 2
+            assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and cap in err
             assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(files, capsys):
-    assert main(["equiv", files["always"], files["always"], "--frobnicate"]) == 2
+    assert cli_main(["equiv", files["always"], files["always"], "--frobnicate"]) == 2
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    assert main(["transmogrify"]) == 2
+    assert cli_main(["transmogrify"]) == 2
 
 
 def test_no_arguments_exits_2(capsys):
-    assert main([]) == 2
+    assert cli_main([]) == 2
 
 
 def _assert_help_runs(command):
@@ -369,6 +369,6 @@ def test_console_script_entry_point():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     spec = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qfaeq"]
     module, _, attr = spec.partition(":")
-    assert getattr(importlib.import_module(module), attr) is main
+    assert getattr(importlib.import_module(module), attr) is cli_main
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     _assert_help_runs([sys.executable, "-c", wrapper])

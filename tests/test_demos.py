@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -45,3 +46,13 @@ def test_package_exports_resolve():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_console_script_target_resolves():
+    # A plain text read: tomllib is missing on Python 3.10.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    targets = re.findall(r'^qfaeq\s*=\s*"([\w.]+):(\w+)"', section.group(1), re.M)
+    assert len(targets) == 1
+    module, attr = targets[0]
+    assert callable(getattr(importlib.import_module(module), attr, None))

@@ -69,10 +69,7 @@ def _cmd_validate(ns) -> int:
 
 def _cmd_prob(ns) -> int:
     a = load_qfa(ns.file)
-    try:
-        p = accept_prob(a, ns.word)
-    except ValueError as exc:
-        raise QfaFormatError(str(exc)) from None
+    p = accept_prob(a, ns.word)
     print(f"{format_rational(p)} ~ {float(p):.12g}")
     return 0
 

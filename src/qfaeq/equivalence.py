@@ -5,22 +5,26 @@ row vector.  With psi1 and psi2 the two initial kets, it starts from the
 rows v1 = psi1^dagger and v2 = psi2^dagger, and a word x advances each row
 on its own, v_i(x) = psi_i^dagger mubar_i(x), one step v_i -> v_i T_i per
 letter, with T_i the automaton's own transition for the last k_i letters
-read (padded at the start).  The rows stand for the Hermitian blocks
-rho1(x) = v1(x)^dagger v1(x) and rho2(x) = -v2(x)^dagger v2(x), and
+read (padded at the start).  Each row is held as the scaled integer row
+``(s, re, im)`` of :mod:`qfaeq.linalg`, the form that
+:func:`~qfaeq.qfa.accept_prob` steps, so a letter costs one
+:func:`~qfaeq.linalg.row_times_matrix` per automaton.  The rows stand for
+the Hermitian blocks rho1(x) = v1(x)^dagger v1(x) and
+rho2(x) = -v2(x)^dagger v2(x), and
 
     P1(x) - P2(x)  =  sum of the accepting diagonal entries of both blocks
 
 so the two automata are equivalent exactly when that sum vanishes for
 every word x.
 
-The search works on the real coordinates of the blocks, read off the two
-rows and never formed as matrices: for each block its diagonal, then the
-real and imaginary parts of every entry above the diagonal, n1^2 + n2^2
-plain rationals per word.  Complex and real spans of Hermitian matrices
-have the same dimension, so this loses nothing.  Because tr rho1(x) = 1 and
-tr rho2(x) = -1 for every word, each row sums to zero on its diagonal
-coordinates, and a suffix class never holds more than n1^2 + n2^2 - 1
-independent rows.
+The search works on the real coordinates of the blocks, read off the
+entries of the two rows once per word and never formed as matrices: for
+each block its diagonal, then the real and imaginary parts of every entry
+above the diagonal, n1^2 + n2^2 plain rationals per word.  Complex and
+real spans of Hermitian matrices have the same dimension, so this loses
+nothing.  Because tr rho1(x) = 1 and tr rho2(x) = -1 for every word, each
+row sums to zero on its diagonal coordinates, and a suffix class never
+holds more than n1^2 + n2^2 - 1 independent rows.
 
 Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
@@ -44,10 +48,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import (
-    CMatrix,
     _row_vector,
-    _scaled_row,
-    conj_vector,
     row_prob,
     row_times_matrix,
     span_insert,
@@ -83,7 +84,10 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 class QueueItem(NamedTuple):
     """A word x together with the two rows v1(x) = psi1^dagger mubar1(x)
-    and v2(x) = psi2^dagger mubar2(x)."""
+    and v2(x) = psi2^dagger mubar2(x), each a reduced integer row
+    ``(s, re, im)`` standing for (re + i*im)/s, as
+    :func:`~qfaeq.linalg.start_row` and
+    :func:`~qfaeq.linalg.row_times_matrix` produce them."""
 
     word: str
     v1: tuple
@@ -103,19 +107,15 @@ def extend(
     a1: KLetterQFA, a2: KLetterQFA, item: QueueItem, sigma: str
 ) -> QueueItem:
     """Append one letter, advancing each row to v_i T_i for the transition
-    of its own automaton at the window ending in that letter."""
+    of its own automaton at the window ending in that letter: one integer
+    :func:`~qfaeq.linalg.row_times_matrix` per row."""
     word = item.word + sigma
     i = len(word)
     return QueueItem(
         word,
-        _step(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
-        _step(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
+        row_times_matrix(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
+        row_times_matrix(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
     )
-
-
-def _step(v: tuple, m: CMatrix) -> tuple:
-    """v times m, taken as an integer row step."""
-    return _row_vector(row_times_matrix(_scaled_row(v), m))
 
 
 def _block_coordinates(v: tuple):
@@ -134,10 +134,11 @@ def _block_coordinates(v: tuple):
 def real_row(item: QueueItem) -> tuple:
     """The row the span search works on: the real coordinates of the blocks
     rho1 = v1^dagger v1 and rho2 = -v2^dagger v2, read off the two rows
-    without forming either block, as n1^2 + n2^2 plain Fractions."""
+    without forming either block, as n1^2 + n2^2 plain Fractions.  Each
+    integer row is read as Gaussian rational entries once, here."""
     return (
-        *_block_coordinates(item.v1),
-        *(-c for c in _block_coordinates(item.v2)),
+        *_block_coordinates(_row_vector(item.v1)),
+        *(-c for c in _block_coordinates(_row_vector(item.v2))),
     )
 
 
@@ -179,7 +180,7 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> SuffixBasisMap:
     k = max(a1.k, a2.k)
     symbols = a1.alphabet.symbols
     positions = [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
-    start = QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
+    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
     sbm = SuffixBasisMap()
     # pending words as (parent, last letter); the empty word is taken as is
     queue = deque([(start, None)])

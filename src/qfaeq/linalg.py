@@ -12,12 +12,14 @@ rational operation per entry; this is fraction-free exact arithmetic in
 the style of Bareiss (1968) and Cohen (1993, ch. 2).
 
 Plain tuples of :class:`~qfaeq.scalars.GaussianRational` serve as vectors
-outside the integer kernel; the private ``_scaled_row`` and ``_row_vector``
-convert between the two forms.  The module also keeps the basis the
-equivalence decision grows: a fully reduced row-echelon basis of rational
-rows, held as a dict from pivot column to row and updated in place by
-:func:`span_insert`, which answers span membership with a single
-elimination pass.
+only at the edges: an automaton's initial vector, which :func:`start_row`
+turns into the row every run starts from, and the entries the equivalence
+search reads off a row once per word to build its real coordinates.  The
+private ``_scaled_row`` and ``_row_vector`` convert between the two forms.
+The module also keeps the basis the equivalence decision grows: a fully
+reduced row-echelon basis of rational rows, held as a dict from pivot
+column to row and updated in place by :func:`span_insert`, which answers
+span membership with a single elimination pass.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .scalars import GaussianRational, _coerce
 
 __all__ = [
     "CMatrix",
-    "conj_vector",
     "is_unitary",
     "row_prob",
     "row_times_matrix",
@@ -198,10 +199,6 @@ def vector(entries: Iterable) -> tuple:
     return tuple(as_scalar(x) for x in entries)
 
 
-def conj_vector(v: tuple) -> tuple:
-    return tuple(x.conjugate() for x in v)
-
-
 def _scaled_row(v: tuple) -> tuple:
     """The row (s, re, im) of a vector of GaussianRationals, with s the lcm
     of their denominators, so that gcd(s, *re, *im) = 1."""
@@ -214,8 +211,10 @@ def _scaled_row(v: tuple) -> tuple:
 
 
 def start_row(ket: tuple) -> tuple:
-    """The row of conj(ket), where every run starts."""
-    return _scaled_row(conj_vector(ket))
+    """The row of conj(ket), where every run starts: conjugation keeps the
+    scale and negates the imaginary parts."""
+    s, re, im = _scaled_row(ket)
+    return s, re, tuple([-y for y in im])
 
 
 def _row_vector(row: tuple) -> tuple:

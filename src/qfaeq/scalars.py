@@ -85,14 +85,6 @@ class GaussianRational:
             return NotImplemented
         a, b = self.re, self.im
         c, d = other.re, other.im
-        # Skip the cross terms when an imaginary part is zero, as it is for
-        # real-valued automata in the search's block coordinates.
-        if not b:
-            if not d:
-                return GaussianRational(a * c)
-            return GaussianRational(a * c, a * d)
-        if not d:
-            return GaussianRational(a * c, b * c)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -23,6 +23,11 @@ def norm_sq(v) -> Fraction:
     return total
 
 
+def conj(v) -> tuple:
+    """The entrywise complex conjugate of a vector."""
+    return tuple(x.conjugate() for x in v)
+
+
 def row_step(v, m: CMatrix) -> tuple:
     """Row vector times matrix, one GaussianRational product per entry."""
     assert len(v) == m.nrows

@@ -32,7 +32,6 @@ from qfaeq.equivalence import (
 from qfaeq.linalg import (
     CMatrix,
     _row_vector,
-    conj_vector,
     row_prob,
     row_times_matrix,
     start_row,
@@ -53,7 +52,7 @@ from qfaeq.qfa import (
 from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
 
-from reference import mu_bar, norm_sq, row_step
+from reference import conj, mu_bar, norm_sq, row_step
 
 PHASE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
@@ -94,7 +93,7 @@ def permute_states(a, order):
 
 def start_item(a1, a2):
     """The empty word with the rows psi1^dagger and psi2^dagger."""
-    return QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
+    return QueueItem("", start_row(a1.initial), start_row(a2.initial))
 
 
 def accept_positions(a1, a2):
@@ -468,8 +467,16 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
         assert_float_free(start)
         sbm = basis_search(sample[0].a1, sample[0].a2)
         assert_float_free(sbm)
-        # search rows and bases hold plain Fractions only
-        assert all(type(x) is Fraction for x in real_row(start))
+        # search nodes hold reduced scaled ints, and the rows read off them
+        # and the bases hold plain Fractions only
+        for r in sample:
+            for word in iter_words(r.a1.alphabet, 3):
+                item = start_item(r.a1, r.a2)
+                for s in word:
+                    item = extend(r.a1, r.a2, item, s)
+                for row in (item.v1, item.v2):
+                    assert_reduced_ints(row[0], row[1] + row[2])
+                assert all(type(x) is Fraction for x in real_row(item))
         for r in sample:
             for basis in basis_search(r.a1, r.a2).bases.values():
                 for row in basis.values():
@@ -505,7 +512,7 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
                     words.choice(alphabet.symbols)
                     for _ in range(words.randrange(0, 9))
                 )
-                ket = conj_vector(a.initial)
+                ket = conj(a.initial)
                 row = row_times_matrix(start_row(a.initial), mu_bar(a, word))
                 assert row_prob(row, range(n)) == 1
                 assert norm_sq(row_step(ket, mu_bar(a, word))) == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qfaeq.equivalence
 from qfaeq.equivalence import (
     QueueItem,
     basis_search,
@@ -13,7 +14,7 @@ from qfaeq.equivalence import (
     real_row,
     theorem4_bound,
 )
-from qfaeq.linalg import CMatrix, conj_vector, vector
+from qfaeq.linalg import CMatrix, _row_vector, span_insert, start_row
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -24,17 +25,18 @@ from qfaeq.qfa import (
     lift,
     random_qfa,
     random_unitary,
+    validate,
 )
-from qfaeq.scalars import GaussianRational
+from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
-from reference import adjoint, in_span, matmul, mu_bar, row_step
+from reference import adjoint, conj, in_span, matmul, mu_bar, row_step
 
 AB = Alphabet("ab")
 
 
 def start_item(a1, a2):
     """The empty word with the rows psi1^dagger and psi2^dagger."""
-    return QueueItem("", conj_vector(a1.initial), conj_vector(a2.initial))
+    return QueueItem("", start_row(a1.initial), start_row(a2.initial))
 
 
 def accept_positions(a1, a2):
@@ -57,7 +59,7 @@ def trace_difference(a1, a2, word):
 def reference_vector(a, k, word):
     """v(word) = psi^dagger mubar(word) as a one-row matrix product over the
     transitions lifted to width k."""
-    return row_step(conj_vector(a.initial), mu_bar(lift(a, k), word))
+    return row_step(conj(a.initial), mu_bar(lift(a, k), word))
 
 
 def reference_blocks(a1, a2, k, word):
@@ -115,7 +117,7 @@ def test_join_requires_matching_alphabets():
 def test_join_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     start = start_item(a, a)
-    assert start.v1 == start.v2 == vector([1])
+    assert start.v1 == start.v2 == (1, (1,), (0,))
     # The two blocks have opposite signs, so the row is nonzero even when
     # an automaton is paired with itself.
     assert reference_blocks(a, a, 1, "") == [CMatrix([[1]]), CMatrix([[-1]])]
@@ -133,10 +135,12 @@ def test_join_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
     start = start_item(a1, a2)
+    v1, v2 = _row_vector(start.v1), _row_vector(start.v2)
+    assert (v1, v2) == (conj(a1.initial), conj(a2.initial))
     # each row steps on its own automaton's transitions
     item = extend(a1, a2, start, "a")
-    assert item.v1 == row_step(start.v1, a1.transitions["a"])
-    assert item.v2 == row_step(start.v2, a2.transitions["a"])
+    assert _row_vector(item.v1) == row_step(v1, a1.transitions["a"])
+    assert _row_vector(item.v2) == row_step(v2, a2.transitions["a"])
     # n1^2 + n2^2 real coordinates of the blocks psi1 psi1^dagger and
     # -psi2 psi2^dagger: diagonals, then Re and Im above them
     rho1, rho2 = reference_blocks(a1, a2, 1, "")
@@ -220,8 +224,8 @@ def test_rho_steps_match_mu_bar():
         item = start_item(a1, a2)
         for s in word:
             item = extend(a1, a2, item, s)
-        assert item.v1 == reference_vector(a1, k, word)
-        assert item.v2 == reference_vector(a2, k, word)
+        assert _row_vector(item.v1) == reference_vector(a1, k, word)
+        assert _row_vector(item.v2) == reference_vector(a2, k, word)
         assert real_row(item) == hermitian_coordinates(
             reference_blocks(a1, a2, k, word)
         )
@@ -233,9 +237,11 @@ def test_extend_grows_word_and_tracks_vector():
     item = extend(a, a, item, "b")
     assert item.word == "ab"
     t = a.transitions["_a"] * a.transitions["ab"]
-    assert item.v1 == item.v2 == (CMatrix([conj_vector(a.initial)]) * t).data[0]
-    assert item.v1 == row_step(
-        row_step(conj_vector(a.initial), a.transitions["_a"]), a.transitions["ab"]
+    v = _row_vector(item.v1)
+    assert item.v1 == item.v2
+    assert v == (CMatrix([conj(a.initial)]) * t).data[0]
+    assert v == row_step(
+        row_step(conj(a.initial), a.transitions["_a"]), a.transitions["ab"]
     )
     assert real_row(item) == hermitian_coordinates(
         reference_blocks(a, a, a.k, "ab")
@@ -250,7 +256,57 @@ def with_accepting(a, accepting):
     return KLetterQFA(a.n, a.alphabet, a.k, a.initial, accepting, a.transitions)
 
 
-def test_basis_search_resource_bounds_and_order():
+def check_span_insert(monkeypatch, insert=span_insert):
+    """Make the search's span_insert check its own answer: True must grow
+    the basis by exactly one row, and False must leave it unchanged.  The
+    search extends a word only when a row was inserted, so an insert that
+    says True without growing the basis would keep it running; checked, it
+    fails at the first such call."""
+
+    def checked(basis, row):
+        before = {p: list(r) for p, r in basis.items()}
+        grew = insert(basis, row)
+        if grew:
+            assert len(basis) == len(before) + 1, "True without a new row"
+        else:
+            assert basis == before, "False but the basis changed"
+        return grew
+
+    monkeypatch.setattr(qfaeq.equivalence, "span_insert", checked)
+
+
+def test_check_span_insert_catches_lying_inserts(monkeypatch):
+    a = random_qfa(2, AB, 1, seed=1)
+
+    def says_new(basis, row):
+        return True
+
+    def hides_insert(basis, row):
+        span_insert(basis, row)
+        return False
+
+    for mutant, message in [
+        (says_new, "True without a new row"),
+        (hides_insert, "False but the basis changed"),
+    ]:
+        calls = []
+
+        def counted(basis, row, mutant=mutant):
+            calls.append(row)
+            return mutant(basis, row)
+
+        check_span_insert(monkeypatch, counted)
+        with pytest.raises(AssertionError, match=message):
+            basis_search(a, a)
+        # the very first insert is the lie that fails
+        assert len(calls) == 1
+    # the real insert passes the same check
+    check_span_insert(monkeypatch)
+    assert basis_search(a, a).witness is None
+
+
+def test_basis_search_resource_bounds_and_order(monkeypatch):
+    check_span_insert(monkeypatch)
     searched = {"full": 0, "stopped": 0}
     for n1, n2, m, k in [(2, 2, 2, 2), (3, 1, 2, 1), (2, 2, 1, 2), (3, 3, 2, 2)]:
         alphabet = Alphabet("ab"[:m])
@@ -308,6 +364,50 @@ def test_class_rank_reaches_hermitian_bound():
         assert v.equivalent
         assert v.basis_sizes == sizes
         assert v.nodes_processed == 2**k * (n1 * n1 + n2 * n2 - 1)
+
+
+PHASES = (
+    GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+    IMAG,
+    -ONE,
+    GaussianRational(Fraction(5, 13), Fraction(-12, 13)),
+)
+
+
+def with_phase_block(a, shift):
+    """The direct sum a + C: a with one more state, the block C, whose
+    transition at the i-th context is the phase PHASES[i + shift].  The
+    initial vector is (3/5 psi, 4/5) and the new state accepts, so the
+    blocks never mix and every word is accepted with probability
+    9/25 P_a + 16/25, whatever the phases."""
+    transitions = {}
+    for i, (ctx, m) in enumerate(sorted(a.transitions.items())):
+        rows = [[*row, ZERO] for row in m.data]
+        rows.append([ZERO] * a.n + [PHASES[(i + shift) % len(PHASES)]])
+        transitions[ctx] = CMatrix(rows)
+    initial = (*(Fraction(3, 5) * x for x in a.initial), Fraction(4, 5))
+    accepting = a.accepting | {a.n}
+    return KLetterQFA(a.n + 1, a.alphabet, a.k, initial, accepting, transitions)
+
+
+def test_equivalent_pairs_beyond_conjugation():
+    # Two phase assignments give transitions with different spectra, so
+    # neither automaton is a conjugate of the other, and unlike a conjugate
+    # pair the joint rank of a class rises above n1^2.
+    for n, k, rank, self_rank in [
+        (3, 1, 12, 8), (4, 1, 21, 15), (3, 2, 24, 16), (4, 2, 42, 30),
+    ]:
+        a = random_qfa(n - 1, AB, k, 7)
+        b1, b2 = with_phase_block(a, 0), with_phase_block(a, 1)
+        assert validate(b1) == validate(b2) == []
+        assert b1.transitions != b2.transitions
+        v = decide(b1, b2)
+        assert v.equivalent
+        assert brute_force(b1, b2, max_len=6).equivalent
+        assert len(v.basis_sizes) == 2 ** (k - 1)
+        assert max(v.basis_sizes.values()) > n * n
+        assert sum(v.basis_sizes.values()) == rank
+        assert sum(decide(b1, b1).basis_sizes.values()) == self_rank
 
 
 def test_basis_search_records_short_words():

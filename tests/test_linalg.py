@@ -9,7 +9,6 @@ from qfaeq.linalg import (
     CMatrix,
     _row_vector,
     _scaled_row,
-    conj_vector,
     is_unitary,
     row_prob,
     row_times_matrix,
@@ -22,6 +21,7 @@ from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
 from reference import (
     adjoint,
+    conj,
     in_span,
     matmul,
     naive_rank,
@@ -136,7 +136,8 @@ def test_vector_helpers():
     v = vector([1, Fraction(1, 2), 0])
     assert v == (ONE, GaussianRational(Fraction(1, 2)), ZERO)
     assert norm_sq(v) == Fraction(5, 4)
-    assert conj_vector((IMAG,)) == (-IMAG,)
+    # the start row is the conjugate: same scale, imaginary parts negated
+    assert start_row((IMAG,)) == (1, (0,), (-1,))
 
 
 @settings(max_examples=25)
@@ -275,7 +276,7 @@ def test_rows_by_hand():
     row = start_row((GaussianRational(Fraction(3, 5), Fraction(4, 5)), ZERO))
     assert row == (5, (3, 0), (-4, 0))
     assert row_prob(row, [0]) == 1 and row_prob(row, [1]) == 0
-    assert _row_vector(row) == conj_vector(
+    assert _row_vector(row) == conj(
         (GaussianRational(Fraction(3, 5), Fraction(4, 5)), ZERO)
     )
     # (1/2, 1/2) times [[1, 1], [1, -1]] is (1, 0): the content 2 is removed

@@ -80,17 +80,14 @@ def _cmd_equiv(ns) -> int:
     if ns.max_len is not None and ns.max_len < 0:
         raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
     a1, a2 = _load_two(ns.file1, ns.file2)
-    depth = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
+    depth = ns.max_len
+    if depth is None:
+        depth = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
     start = time.perf_counter()
     if ns.method == "algebraic":
         verdict = decide(a1, a2)
     else:
-        # Without a cap the enumeration runs to the full bound, which is
-        # astronomically slow for multi-symbol alphabets; --max-len keeps
-        # the oracle usable there.
-        verdict = brute_force(a1, a2, ns.max_len)
-        if ns.max_len is not None:
-            depth = ns.max_len
+        verdict = brute_force(a1, a2, depth)
     wall_ms = round((time.perf_counter() - start) * 1000, 3)
     report = {
         "verdict": "equivalent" if verdict.equivalent else "not_equivalent",
@@ -158,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=None,
-        help="cap the bruteforce search depth (default: the full bound)",
+        help="cap the bruteforce search depth (default: the full bound, "
+        "astronomically slow for alphabets of two or more symbols)",
     )
     p.set_defaults(func=_cmd_equiv)
 

@@ -36,8 +36,9 @@ automaton whose transitions depend only on its last j letters counts as
 width j, whatever width it declares.  The search visits words in
 length-then-alphabet order and stops at the first row with a nonzero
 accepting sum, which names the least counterexample.  :func:`brute_force`
-is an independent oracle that compares acceptance probabilities word by
-word instead.
+walks the same queue of words in the same order, but checks every word up
+to a length cap by comparing the two acceptance probabilities, read off
+the same rows, instead of collecting spans.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ class QueueItem(NamedTuple):
     and v2(x) = psi2^dagger mubar2(x), each a reduced integer row
     ``(s, re, im)`` standing for (re + i*im)/s, as
     :func:`~qfaeq.linalg.start_row` and
-    :func:`~qfaeq.linalg.row_times_matrix` produce them."""
+    :func:`~qfaeq.linalg.row_times_matrix` produce them.  It is the node
+    of the word walk that :func:`basis_search` and :func:`brute_force`
+    share, one :func:`extend` per word."""
 
     word: str
     v1: tuple
@@ -239,10 +242,10 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     probabilities are read off the automata as given.
 
     ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
-    both automata are well formed and within the size caps.  Automata from
-    :func:`~qfaeq.io.parse_qfa` or :func:`~qfaeq.qfa.random_qfa` are;
-    library callers who build a :class:`~qfaeq.qfa.KLetterQFA` by hand must
-    validate it first.
+    both automata are well formed and within validate's caps of 64 states
+    and 4096 contexts.  Automata from :func:`~qfaeq.io.parse_qfa` or
+    :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
+    :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
     """
     sbm = basis_search(_narrow(a1), _narrow(a2))
     sizes = {w: len(b) for w, b in sbm.bases.items()}
@@ -261,8 +264,11 @@ def brute_force(
     With the default cap :func:`theorem4_bound` the answer is definitive,
     but enumeration is exponential in the cap for alphabets of two or more
     symbols; this is a cross-check oracle for small instances, not the
-    production procedure.  The witness, if any, is the least differing word
-    in word order.  A negative cap is a ValueError.
+    production procedure.  It walks :func:`basis_search`'s queue, each
+    word's rows made by :func:`extend`, but checks every word and queues
+    the children of each word shorter than the cap.  The witness, if any,
+    is the least differing word in word order.  A negative cap is a
+    ValueError.
     """
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
@@ -270,28 +276,18 @@ def brute_force(
         max_len = theorem4_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
-    checked = 1
-    p1 = accept_prob(a1, "")
-    p2 = accept_prob(a2, "")
-    if p1 != p2:
-        return Verdict(False, "", p1, p2, nodes_processed=checked)
-    level = [("", start_row(a1.initial), start_row(a2.initial))]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for word, v1, v2 in level:
-            for s in symbols:
-                w = word + s
-                u1 = row_times_matrix(
-                    v1, a1.transitions[_context_at(a1.k, w, length)]
-                )
-                u2 = row_times_matrix(
-                    v2, a2.transitions[_context_at(a2.k, w, length)]
-                )
-                checked += 1
-                p1 = row_prob(u1, a1.accepting)
-                p2 = row_prob(u2, a2.accepting)
-                if p1 != p2:
-                    return Verdict(False, w, p1, p2, nodes_processed=checked)
-                nxt.append((w, u1, u2))
-        level = nxt
+    checked = 0
+    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
+    # the search's queue: (parent, last letter), the empty word taken as is
+    queue = deque([(start, None)])
+    while queue:
+        parent, sigma = queue.popleft()
+        item = parent if sigma is None else extend(a1, a2, parent, sigma)
+        checked += 1
+        p1 = row_prob(item.v1, a1.accepting)
+        p2 = row_prob(item.v2, a2.accepting)
+        if p1 != p2:
+            return Verdict(False, item.word, p1, p2, nodes_processed=checked)
+        if len(item.word) < max_len:
+            queue.extend((item, s) for s in symbols)
     return Verdict(True, nodes_processed=checked)

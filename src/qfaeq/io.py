@@ -25,9 +25,11 @@ matrices', from text to integers scaled to a common denominator: the
 initial vector over one, read back as Gaussian rationals, and each matrix
 over its own, read straight into the integer form of
 :class:`~qfaeq.linalg.CMatrix`.  Each numerator and denominator has at most
-4300 digits, and each common denominator (the lcm of the denominators it
-covers) at most 8600, so hostile input stops at a located error before any
-arithmetic on it.  One writer formats both back, exact at any size.
+4300 digits, each common denominator (the lcm of the denominators it
+covers) at most 8600, and the nonzero parts of one matrix, scaled to it,
+at most 1 100 800 together, so hostile input stops at a located error
+before any arithmetic on it.  One writer formats both back, exact at any
+size.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from bisect import bisect_left
 from math import gcd, lcm
 
 from .linalg import CMatrix, _row_vector, _scaled_row
@@ -81,6 +84,10 @@ _MAX_DIGITS = 4300
 _MAX_DEN_DIGITS = 2 * _MAX_DIGITS
 _MAX_DEN = 10**_MAX_DEN_DIGITS
 
+# Digits allowed in all the nonzero scaled parts of a matrix together: one
+# full row of _MAX_STATES entries, both parts at the common-denominator cap.
+_MAX_SCALED_DIGITS = 2 * _MAX_STATES * _MAX_DEN_DIGITS
+
 
 class QfaFormatError(ValueError):
     """A document failed structural or semantic validation; the message says
@@ -111,6 +118,21 @@ def _rational_parts(text, where: str, *index: int) -> tuple[int, int]:
     return int(num), den
 
 
+def _scaled_digits(nums: list, dens: list, den: int) -> int:
+    """A bound on the digits that the nonzero parts nums[i] / dens[i] take
+    scaled to den: p * (den // q) has at most p.bit_length() +
+    den.bit_length() - q.bit_length() + 1 bits, and b bits in all over c
+    parts take at most (1234 * b >> 12) + c digits, 1234 / 4096 being just
+    above log10(2).  Zero parts take none."""
+    qs = list(itertools.compress(dens, nums))
+    bits = (
+        sum(map(int.bit_length, nums))
+        - sum(map(int.bit_length, qs))
+        + len(qs) * (den.bit_length() + 1)
+    )
+    return (1234 * bits >> 12) + len(qs)
+
+
 def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
     """The common denominator of the [re, im] pairs in rows, a list of
     (location, row of n pairs), and their real and imaginary parts scaled
@@ -118,7 +140,10 @@ def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
     an error names its location, such as initial[0][1] or
     transitions['a'][2][0][1].  The lcm is capped at _MAX_DEN_DIGITS digits:
     every part is scaled to it, so without a cap a few dozen coprime
-    denominators would make every scaled part huge."""
+    denominators would make every scaled part huge.  Under that cap a few
+    large denominators can still make thousands of small parts large, so
+    before any part is scaled, :func:`_scaled_digits` of them all is capped
+    at _MAX_SCALED_DIGITS."""
     nums, dens = [], []
     den = 1
     for where, row in rows:
@@ -140,6 +165,17 @@ def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
                         )
                 nums.append(p)
                 dens.append(q)
+    if _scaled_digits(nums, dens, den) > _MAX_SCALED_DIGITS:
+        # the bound only grows part by part: name the first part past the cap
+        i = bisect_left(
+            range(len(nums)),
+            _MAX_SCALED_DIGITS + 1,
+            key=lambda j: _scaled_digits(nums[: j + 1], dens[: j + 1], den),
+        )
+        raise QfaFormatError(
+            f"{_locate(rows[i // (2 * n)][0], i // 2 % n, i % 2)}: scaled "
+            f"parts exceed {_MAX_SCALED_DIGITS} digits in total"
+        )
     scaled = [p * (den // q) for p, q in zip(nums, dens)]
     width = 2 * n
     starts = range(0, len(scaled), width)
@@ -210,10 +246,6 @@ def parse_qfa(text: str) -> KLetterQFA:
         alphabet = Alphabet(obj["alphabet"])
     except ValueError as exc:
         raise QfaFormatError(f"alphabet: {exc}") from None
-    if len(obj["initial"]) != n:
-        raise QfaFormatError(
-            f"initial: expected {n} entries, found {len(obj['initial'])}"
-        )
     den, (xs,), (ys,) = _read_rows([("initial", obj["initial"])], n)
     initial = _row_vector((den, xs, ys))
     accepting = frozenset(

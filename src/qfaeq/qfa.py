@@ -193,8 +193,8 @@ def _context_shape_ok(ctx: str, alphabet: Alphabet, k: int) -> bool:
 def validate(a: KLetterQFA) -> list[str]:
     """Return a list of human-readable problems; empty means well formed.
 
-    A window with more than 4096 contexts is reported as one problem, and
-    its contexts are not enumerated."""
+    More than 64 states, or a window with more than 4096 contexts, is
+    reported as one problem, and the transitions are then not checked."""
     problems = []
     if a.k < 1:
         problems.append(f"window width k={a.k} must be at least 1")
@@ -218,7 +218,9 @@ def validate(a: KLetterQFA) -> list[str]:
     for q in sorted(a.accepting.difference(bad)):
         if not 0 <= q < a.n:
             problems.append(f"accepting state {q!r} out of range 0..{a.n - 1}")
-    if a.k < 1 or a.n < 1:
+    if a.n > _MAX_STATES:
+        problems.append(f"state count n={a.n} exceeds the cap of {_MAX_STATES}")
+    if a.k < 1 or not 1 <= a.n <= _MAX_STATES:
         return problems
     excess = _context_excess(a.alphabet, a.k)
     if excess:

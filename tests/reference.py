@@ -4,15 +4,17 @@ They form each product the plain way, entry by entry in GaussianRationals,
 and never call the package's integer kernel (``CMatrix.__mul__``,
 ``row_times_matrix``, ``is_unitary``) or its span basis (``span_insert``),
 so a bug in either cannot hide in both sides of a comparison.  The module
-also builds the hostile input that the document tests share.
+also holds a second oracle for equivalence, :func:`weighted_sums`, and
+builds the automata and the hostile input that several tests share.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from qfaeq.linalg import CMatrix
 from qfaeq.qfa import KLetterQFA, _check_word, _context_at
-from qfaeq.scalars import ONE, ZERO, GaussianRational, _coerce
+from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce
 
 
 def norm_sq(v) -> Fraction:
@@ -77,6 +79,61 @@ def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     return m
 
 
+def position_weights(alphabet, depth: int, seed: int = 2011) -> list:
+    """Weights r(sigma, i) for positions i = 1..depth, at index i - 1: one
+    integer in [1, 2**16) per letter and position, drawn from a fixed
+    seed, so two automata over the same alphabet get the same weights."""
+    rng = random.Random(seed)
+    return [{s: rng.randrange(1, 2**16) for s in alphabet} for _ in range(depth)]
+
+
+def weighted_sums(a: KLetterQFA, weights: list) -> list:
+    """For each length l = 0..len(weights), the exact sum over all words w
+    of length l of P(w) * r(w_1, 1) * ... * r(w_l, l), r given by weights.
+
+    A randomized identity test for equivalence (Kiefer, Murawski, Ouaknine,
+    Wachter & Worrell, CAV 2011): the sum at length l is a polynomial in the
+    weights whose coefficients are the P(w), so two automata that differ
+    on some word of length l give different sums at l unless the weights
+    hit a root, which they do with probability at most l / (2**16 - 1)
+    (Schwartz-Zippel).  It propagates one Hermitian matrix per history, the
+    last k - 1 letters read padded with the blank: the weighted sum of
+    rho(w) = mubar(w)^dagger psi psi^dagger mubar(w) over the words w of
+    the current length with that history, stepped by S -> r(sigma, l) *
+    T^dagger S T for the transition T at the window history + sigma.
+    """
+    n = a.n
+    data = {ctx: m.data for ctx, m in a.transitions.items()}
+    psi = a.initial
+    states = {"_" * (a.k - 1): [[p * q.conjugate() for q in psi] for p in psi]}
+    sums = []
+    for length in range(len(weights) + 1):
+        sums.append(
+            sum((s[q][q].re for s in states.values() for q in a.accepting), Fraction(0))
+        )
+        if length == len(weights):
+            return sums
+        stepped = {}
+        for history, s in states.items():
+            for sigma, r in weights[length].items():
+                t = data[history + sigma]
+                # (T^dagger S T)[p][q] = sum over i, j of
+                # conj(T[i][p]) S[i][j] T[j][q]
+                st = [
+                    [sum((row[j] * t[j][q] for j in range(n)), ZERO) for q in range(n)]
+                    for row in s
+                ]
+                new = stepped.setdefault(
+                    (history + sigma)[1:], [[ZERO] * n for _ in range(n)]
+                )
+                for p in range(n):
+                    for q in range(n):
+                        new[p][q] += r * sum(
+                            (t[i][p].conjugate() * st[i][q] for i in range(n)), ZERO
+                        )
+        states = stepped
+
+
 def naive_rank(vectors) -> int:
     """Rank by textbook Gaussian elimination over mutable row lists, with no
     pivots shared with the package's span basis."""
@@ -110,9 +167,68 @@ def in_span(rows, row) -> bool:
     return naive_rank(rows + [row]) == naive_rank(rows)
 
 
+def direct_sum(a: KLetterQFA, blocks: dict, initial, accepting) -> KLetterQFA:
+    """The automaton whose transition at each context is a's transition
+    there followed by the block blocks[ctx] on the diagonal, with the given
+    initial vector and accepting set over the n + u states.  The blocks
+    never mix, so the accepted mass adds across them."""
+    transitions = {}
+    for ctx, m in a.transitions.items():
+        block = blocks[ctx].data
+        pad = (ZERO,) * len(block)
+        rows = [row + pad for row in m.data]
+        rows += [(ZERO,) * a.n + row for row in block]
+        transitions[ctx] = CMatrix(rows)
+    return KLetterQFA(a.n + len(pad), a.alphabet, a.k, initial, accepting, transitions)
+
+
+PHASES = (
+    GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+    IMAG,
+    -ONE,
+    GaussianRational(Fraction(5, 13), Fraction(-12, 13)),
+)
+
+
+def with_phase_block(a: KLetterQFA, shift: int) -> KLetterQFA:
+    """The direct sum a + C: a with one more state, the block C, whose
+    transition at the i-th context in sorted order is the phase
+    PHASES[i + shift].  The initial vector is (3/5 psi, 4/5) and the new
+    state accepts, so every word is accepted with probability
+    9/25 P_a + 16/25, whatever the phases.  Two shifts give an equivalent
+    pair that is not a conjugation: their transitions differ in spectrum."""
+    blocks = {
+        ctx: CMatrix([[PHASES[(i + shift) % len(PHASES)]]])
+        for i, ctx in enumerate(sorted(a.transitions))
+    }
+    initial = (*(Fraction(3, 5) * x for x in a.initial), Fraction(4, 5))
+    return direct_sum(a, blocks, initial, a.accepting | {a.n})
+
+
 def coprime_denominators(count):
     """2**e - 1 for the first `count` primes e above 10000, about 3000
     digits each and pairwise coprime: gcd(2**a - 1, 2**b - 1) is
     2**gcd(a, b) - 1.  Three of them have an lcm past 8600 digits."""
     primes = (e for e in range(10001, 20000) if all(e % d for d in range(2, 142)))
     return [2**e - 1 for e in itertools.islice(primes, count)]
+
+
+def scaled_size_document():
+    """A 64-state document whose one matrix has "1/1" entries except two
+    over coprime denominators of about 3000 digits each: every common
+    denominator stays under 8600 digits, but scaled to their lcm the 4096
+    nonzero parts would take about 25 million digits."""
+    n = 64
+    dens = coprime_denominators(2)
+    matrix = [[["1/1", "0/1"] for _ in range(n)] for _ in range(n)]
+    for c, den in enumerate(dens):
+        matrix[0][c] = [f"1/{den}", "0/1"]
+    return {
+        "format_version": 1,
+        "k": 1,
+        "alphabet": ["a"],
+        "states": n,
+        "initial": [["1/1", "0/1"]] + [["0/1", "0/1"]] * (n - 1),
+        "accepting": [0],
+        "transitions": {"a": matrix},
+    }

@@ -52,7 +52,16 @@ from qfaeq.qfa import (
 from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
 
-from reference import conj, mu_bar, norm_sq, row_step
+from reference import (
+    conj,
+    direct_sum,
+    mu_bar,
+    norm_sq,
+    position_weights,
+    row_step,
+    weighted_sums,
+    with_phase_block,
+)
 
 PHASE = GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
@@ -525,3 +534,90 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
             assert narrowed.k <= k and lift(narrowed, k + 1) == wider
             for word in iter_words(alphabet, 6):
                 assert accept_prob(narrowed, word) == accept_prob(wider, word)
+
+
+def first_difference(a1, a2, depth):
+    """The least length up to depth at which the two automata's weighted
+    sums differ, under the same weights, or None."""
+    weights = position_weights(a1.alphabet, depth)
+    sums = zip(weighted_sums(a1, weights), weighted_sums(a2, weights))
+    return next((n for n, (x, y) in enumerate(sums) if x != y), None)
+
+
+def test_criterion_8_weighted_sum_oracle(grid_runs, acceptance_report):
+    # A second oracle, independent of both the search and brute_force, that
+    # reaches the search's depth bound where enumeration cannot: sampled
+    # two-letter grid pairs, every equivalent grid construction and the
+    # twist family among them, and three pairs that are not conjugations.
+    runs, _ = grid_runs
+    pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs if r.m == 2][::11]
+    for n, k in ((3, 1), (4, 1), (3, 2)):
+        a = random_qfa(n - 1, Alphabet("ab"), k, 7)
+        b1, b2 = with_phase_block(a, 0), with_phase_block(a, 1)
+        pairs.append(("phase block", b1, b2, decide(b1, b2)))
+    kinds = set()
+    with criterion(
+        acceptance_report,
+        f"criterion 8: weighted sums agree to length R + k - 1 on the "
+        f"equivalent verdicts, and first differ at the witness length on "
+        f"the others, on {len(pairs)} two-letter pairs",
+    ):
+        for kind, a1, a2, v in pairs:
+            if v.equivalent:
+                k = max(a1.k, a2.k)
+                rank = (a1.n**2 + a2.n**2 - 1) * 2 ** (k - 1)
+                assert first_difference(a1, a2, rank + k - 1) is None, kind
+            else:
+                depth = len(v.witness)
+                assert first_difference(a1, a2, depth) == depth, kind
+            kinds.add((kind, v.equivalent))
+        assert kinds >= {
+            (kind, True) for kind in EQUIVALENT_BY_CONSTRUCTION | {"phase block"}
+        }
+        assert {("twist", False), ("random0", False)} <= kinds
+
+
+def pad_states(a, extra, seed):
+    """a with extra unreachable states: each transition T becomes T (+) U
+    for a random unitary U, the initial vector gets zeros, and the first
+    padded state accepts."""
+    rng = random.Random(seed)
+    blocks = {ctx: random_unitary(extra, rng) for ctx in sorted(a.transitions)}
+    initial = (*a.initial, *(0,) * extra)
+    return direct_sum(a, blocks, initial, a.accepting | {a.n})
+
+
+RENAME = str.maketrans("ab", "xy")
+
+
+def rename_letters(a):
+    """a over the alphabet xy in place of ab, same order; the blank stays."""
+    return KLetterQFA(
+        a.n,
+        Alphabet("xy"[: len(a.alphabet)]),
+        a.k,
+        a.initial,
+        a.accepting,
+        {ctx.translate(RENAME): m for ctx, m in a.transitions.items()},
+    )
+
+
+def test_criterion_9_metamorphic_families(grid_runs, acceptance_report):
+    runs, _ = grid_runs
+    sample = runs[::5]
+    with criterion(
+        acceptance_report,
+        f"criterion 9: verdicts unchanged by unreachable states and by "
+        f"renaming the alphabet, on {len(sample)} grid pairs",
+    ):
+        for i, r in enumerate(sample):
+            v = r.verdict
+            padded = decide(
+                pad_states(r.a1, 1 + i % 2, 70000 + i),
+                pad_states(r.a2, 1, 80000 + i),
+            )
+            assert padded == v, run_fingerprint(r)
+            witness = None if v.witness is None else v.witness.translate(RENAME)
+            renamed = decide(rename_letters(r.a1), rename_letters(r.a2))
+            assert renamed == dataclasses.replace(v, witness=witness)
+        assert {r.verdict.equivalent for r in sample} == {True, False}

@@ -21,7 +21,7 @@ from qfaeq.qfa import (
     last_letter_qfa,
     validate,
 )
-from reference import coprime_denominators
+from reference import coprime_denominators, scaled_size_document
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,7 @@ def test_oversized_documents_exit_2(files, capsys, tmp_path):
         ("wide", wide, "exceed the cap of 4096"),
         ("coprime", coprime, "transitions['_a'][0][1][0]: common denominator"),
         ("initial", initial, "initial[1][0]: common denominator exceeds 8600"),
+        ("scaled", scaled_size_document(), "[2][55][0]: scaled parts exceed"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(text))

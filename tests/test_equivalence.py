@@ -27,9 +27,17 @@ from qfaeq.qfa import (
     random_unitary,
     validate,
 )
-from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
+from qfaeq.scalars import GaussianRational
 
-from reference import adjoint, conj, in_span, matmul, mu_bar, row_step
+from reference import (
+    adjoint,
+    conj,
+    in_span,
+    matmul,
+    mu_bar,
+    row_step,
+    with_phase_block,
+)
 
 AB = Alphabet("ab")
 
@@ -364,30 +372,6 @@ def test_class_rank_reaches_hermitian_bound():
         assert v.equivalent
         assert v.basis_sizes == sizes
         assert v.nodes_processed == 2**k * (n1 * n1 + n2 * n2 - 1)
-
-
-PHASES = (
-    GaussianRational(Fraction(3, 5), Fraction(4, 5)),
-    IMAG,
-    -ONE,
-    GaussianRational(Fraction(5, 13), Fraction(-12, 13)),
-)
-
-
-def with_phase_block(a, shift):
-    """The direct sum a + C: a with one more state, the block C, whose
-    transition at the i-th context is the phase PHASES[i + shift].  The
-    initial vector is (3/5 psi, 4/5) and the new state accepts, so the
-    blocks never mix and every word is accepted with probability
-    9/25 P_a + 16/25, whatever the phases."""
-    transitions = {}
-    for i, (ctx, m) in enumerate(sorted(a.transitions.items())):
-        rows = [[*row, ZERO] for row in m.data]
-        rows.append([ZERO] * a.n + [PHASES[(i + shift) % len(PHASES)]])
-        transitions[ctx] = CMatrix(rows)
-    initial = (*(Fraction(3, 5) * x for x in a.initial), Fraction(4, 5))
-    accepting = a.accepting | {a.n}
-    return KLetterQFA(a.n + 1, a.alphabet, a.k, initial, accepting, transitions)
 
 
 def test_equivalent_pairs_beyond_conjugation():

@@ -20,7 +20,7 @@ from qfaeq.qfa import (
     random_qfa,
 )
 from qfaeq.scalars import GaussianRational, format_rational
-from reference import coprime_denominators
+from reference import coprime_denominators, scaled_size_document
 
 
 def rotation_qfa():
@@ -363,6 +363,21 @@ def test_common_denominator_cap_is_located():
         match=r"^initial\[1\]\[0\]: common denominator exceeds 8600 digits$",
     ):
         parse_doc(doc)
+
+
+def test_scaled_size_cap_is_located():
+    # each part is small, but scaled to the lcm of two ~3000-digit
+    # denominators the matrix would take ~25 million digits: parsing stops,
+    # before any part is scaled, at the part that passes the total cap
+    with pytest.raises(
+        QfaFormatError,
+        match=r"^transitions\['a'\]\[2\]\[55\]\[0\]: scaled parts exceed "
+        r"1100800 digits in total$",
+    ):
+        parse_doc(scaled_size_document())
+    # generated matrices at the state cap stay far below it
+    a = random_qfa(64, Alphabet("ab"), 1, 3)
+    assert parse_qfa(serialize_qfa(a)) == a
 
 
 def test_wrong_matrix_shape():

@@ -300,6 +300,18 @@ def test_validate_and_lift_cap_contexts():
         lift(one, 4097)
 
 
+def test_validate_caps_states():
+    # the state cap parse_qfa enforces on documents holds for hand-built
+    # automata too: 64 states are at the cap, 65 past it
+    for n in (64, 65):
+        initial = (ONE,) + (ZERO,) * (n - 1)
+        a = KLetterQFA(
+            n, Alphabet("a"), 1, initial, {0}, {"a": CMatrix.identity(n)}
+        )
+        expected = [] if n == 64 else ["state count n=65 exceeds the cap of 64"]
+        assert validate(a) == expected
+
+
 def test_random_generation_is_pinned():
     # Every seeded test, digest and benchmark input is built by random_qfa.
     # The accepting set is drawn last, so this also pins the RNG state that

@@ -30,6 +30,11 @@ from .scalars import format_rational
 
 __all__ = ["cli_main"]
 
+# The most words --method bruteforce compares, m^0 + m^1 + ... + m^depth
+# for an m-letter alphabet: 2^16 words take seconds on small automata,
+# and its queue holds a whole length of words at once.
+_MAX_BRUTEFORCE_WORDS = 2**16
+
 
 def _print_report(report: dict, as_json: bool) -> None:
     """Print an equiv report as indented JSON, or as one "key: value" line
@@ -74,6 +79,22 @@ def _cmd_prob(ns) -> int:
     return 0
 
 
+def _check_word_count(m: int, depth: int) -> None:
+    """Refuse a brute-force depth with more than _MAX_BRUTEFORCE_WORDS
+    words over m letters.  The count grows one length at a time and stops
+    at the cap, so a huge depth never forms m**depth."""
+    words = power = 1
+    for length in range(1, depth + 1):
+        power *= m
+        words += power
+        if words > _MAX_BRUTEFORCE_WORDS:
+            raise QfaFormatError(
+                f"--method bruteforce: depth {depth} over {m} letters is more "
+                f"than {_MAX_BRUTEFORCE_WORDS} words (the cap); give "
+                f"--max-len {length - 1} or less"
+            )
+
+
 def _cmd_equiv(ns) -> int:
     if ns.max_len is not None and ns.method != "bruteforce":
         raise QfaFormatError("--max-len: only --method bruteforce takes a depth cap")
@@ -81,8 +102,11 @@ def _cmd_equiv(ns) -> int:
         raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
     a1, a2 = _load_two(ns.file1, ns.file2)
     depth = ns.max_len
+    m = len(a1.alphabet)
     if depth is None:
-        depth = theorem4_bound(a1.n, a2.n, len(a1.alphabet), max(a1.k, a2.k))
+        depth = theorem4_bound(a1.n, a2.n, m, max(a1.k, a2.k))
+    if ns.method == "bruteforce":
+        _check_word_count(m, depth)
     start = time.perf_counter()
     if ns.method == "algebraic":
         verdict = decide(a1, a2)
@@ -155,8 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=None,
-        help="cap the bruteforce search depth (default: the full bound, "
-        "astronomically slow for alphabets of two or more symbols)",
+        help="cap the bruteforce search depth (default: the full bound); "
+        "a depth with more than 65536 words is refused, as the full bound "
+        "is for most alphabets of two or more symbols",
     )
     p.set_defaults(func=_cmd_equiv)
 

@@ -34,11 +34,14 @@ collected spans can introduce a new violation.  :func:`decide` first undoes
 lifts (:func:`~qfaeq.qfa._narrow`), so k is the larger effective width: an
 automaton whose transitions depend only on its last j letters counts as
 width j, whatever width it declares.  The search visits words in
-length-then-alphabet order and stops at the first row with a nonzero
-accepting sum, which names the least counterexample.  :func:`brute_force`
-walks the same queue of words in the same order, but checks every word up
-to a length cap by comparing the two acceptance probabilities, read off
-the same rows, instead of collecting spans.
+length-then-alphabet order and stops at the first word whose two
+acceptance probabilities, read off its rows by
+:func:`~qfaeq.linalg.row_prob`, differ; that word is the least
+counterexample.  The trace identity above is why this test is enough: it
+makes P1 - P2 linear in the real row, so a discarded row, a combination
+of rows that all passed it, passes it too.  :func:`brute_force` walks the
+same queue of words in the same order with the same test, but checks
+every word up to a length cap instead of collecting spans.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .linalg import (
     span_insert,
     start_row,
 )
-from .qfa import KLetterQFA, _context_at, _narrow, accept_prob
+from .qfa import KLetterQFA, _context_at, _narrow
 
 __all__ = [
     "Verdict",
@@ -145,65 +148,6 @@ def real_row(item: QueueItem) -> tuple:
     )
 
 
-@dataclass
-class SuffixBasisMap:
-    """Everything :func:`basis_search` found.
-
-    ``bases`` maps each length-(k-1) suffix class seeded so far to its fully
-    reduced basis, a dict from pivot column to row (see
-    :func:`~qfaeq.linalg.span_insert`).  ``witness`` is the word the search
-    stopped at, the least one whose row has a nonzero accepting sum, or None
-    after a full search.  ``processed`` counts the search nodes past the
-    seeds: the words of length k or more whose rows were checked.
-    """
-
-    bases: dict = field(default_factory=dict)
-    witness: str | None = None
-    processed: int = 0
-
-
-def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> SuffixBasisMap:
-    """Collect a spanning set of rows per suffix class, or stop at the least
-    counterexample.
-
-    Each automaton steps on its own window; the common width
-    k = max(k1, k2) only names the suffix classes.  Words come off one FIFO
-    queue in word order, each extended from its parent just before its row
-    is checked, and the first row whose accepting sum is nonzero ends the
-    search with its word as the witness.  A word shorter than k-1 heads no
-    class and is always extended.  From length k-1 on, a row goes into the
-    basis of the class named by its last k-1 letters, and its word is
-    extended only if the row was independent; a dependent row is discarded.
-    A discarded row is a combination of earlier rows of its class, so it
-    cannot be the first with a nonzero sum, and when no row differs every
-    row of every unextended word is a combination of same-class rows with
-    sum zero, which is why the search decides equivalence.
-    """
-    require_shared_alphabet(a1, a2)
-    k = max(a1.k, a2.k)
-    symbols = a1.alphabet.symbols
-    positions = [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
-    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
-    sbm = SuffixBasisMap()
-    # pending words as (parent, last letter); the empty word is taken as is
-    queue = deque([(start, None)])
-    while queue:
-        parent, sigma = queue.popleft()
-        item = parent if sigma is None else extend(a1, a2, parent, sigma)
-        length = len(item.word)
-        if length >= k:
-            sbm.processed += 1
-        row = real_row(item)
-        if sum(row[p] for p in positions):
-            sbm.witness = item.word
-            return sbm
-        if length < k - 1 or span_insert(
-            sbm.bases.setdefault(item.word[length - k + 1 :], {}), row
-        ):
-            queue.extend((item, s) for s in symbols)
-    return sbm
-
-
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of an equivalence check.
@@ -211,11 +155,12 @@ class Verdict:
     When ``equivalent`` is false, ``witness`` is the least word, in
     length-then-alphabet order, that the two automata accept with different
     probabilities (for :func:`brute_force`, the least within its length
-    cap), and ``p1 != p2`` are those exact probabilities.
+    cap), and ``p1 != p2`` are those exact probabilities, read off the
+    witness's two rows by :func:`~qfaeq.linalg.row_prob`.
 
-    ``nodes_processed`` counts the rows :func:`decide` checked for words of
-    length k or more, where k is the larger effective width (the declared
-    max(k1, k2) unless an automaton is a lift), or the words compared by
+    ``nodes_processed`` counts the rows :func:`basis_search` checked for
+    words of length k or more, where k is the larger width it searched at
+    (for :func:`decide`, the effective one), or the words compared by
     :func:`brute_force`; ``basis_sizes`` maps each suffix class, the last
     k-1 letters, seeded before the search ended to its basis size (``None``
     for brute force).  Neither takes part in equality, so two verdicts are
@@ -230,16 +175,65 @@ class Verdict:
     basis_sizes: dict | None = field(default=None, compare=False)
 
 
+def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
+    """Collect a spanning set of rows per suffix class, or stop at the least
+    counterexample; return the verdict and the bases.
+
+    Each automaton steps on its own window; the common width
+    k = max(k1, k2) only names the suffix classes.  Words come off one FIFO
+    queue in word order, each extended from its parent just before it is
+    checked, and the first word whose two acceptance probabilities differ
+    ends the search as the witness.  A word shorter than k-1 heads no class
+    and is always extended.  From length k-1 on, the word's real row goes
+    into the basis of the class named by its last k-1 letters, and the word
+    is extended only if the row was independent; a dependent row is
+    discarded.  By the trace identity a discarded row's word can differ
+    only if an earlier word of its class did, and when no word differs the
+    row of every unextended word lies in a span of rows with accepting sum
+    zero, which is why the search decides equivalence.
+
+    The bases map each class seeded before the search ended to its fully
+    reduced basis, a dict from pivot column to row (see
+    :func:`~qfaeq.linalg.span_insert`).
+    """
+    require_shared_alphabet(a1, a2)
+    k = max(a1.k, a2.k)
+    symbols = a1.alphabet.symbols
+    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
+    bases = {}
+    processed = 0
+    answer = (True,)
+    # pending words as (parent, last letter); the empty word is taken as is
+    queue = deque([(start, None)])
+    while queue:
+        parent, sigma = queue.popleft()
+        item = parent if sigma is None else extend(a1, a2, parent, sigma)
+        length = len(item.word)
+        processed += length >= k
+        p1 = row_prob(item.v1, a1.accepting)
+        p2 = row_prob(item.v2, a2.accepting)
+        if p1 != p2:
+            answer = (False, item.word, p1, p2)
+            break
+        if length < k - 1 or span_insert(
+            bases.setdefault(item.word[length - k + 1 :], {}), real_row(item)
+        ):
+            queue.extend((item, s) for s in symbols)
+    sizes = {w: len(b) for w, b in bases.items()}
+    return Verdict(*answer, nodes_processed=processed, basis_sizes=sizes), bases
+
+
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     """Polynomial-time equivalence decision via the suffix-class search.
 
     Exact throughout; the verdict carries the least witness word and both
     acceptance probabilities whenever the automata differ, and the search
     counts either way.  The search runs on :func:`~qfaeq.qfa._narrow` of
-    each automaton, the least-width automaton that lifts back to it and so
-    accepts every word with the same probability; its suffix classes are
-    the last k-1 letters for k the larger effective width.  The
-    probabilities are read off the automata as given.
+    each automaton, the least-width automaton that lifts back to it; it
+    steps the same matrices at every position and keeps the accepting
+    set, so its rows, and the probabilities read off them, are those of
+    the automata as given.  Its suffix classes are the last k-1 letters
+    for k the larger effective width.
 
     ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
     both automata are well formed and within validate's caps of 64 states
@@ -247,13 +241,7 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
     :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
     """
-    sbm = basis_search(_narrow(a1), _narrow(a2))
-    sizes = {w: len(b) for w, b in sbm.bases.items()}
-    counts = {"nodes_processed": sbm.processed, "basis_sizes": sizes}
-    word = sbm.witness
-    if word is None:
-        return Verdict(equivalent=True, **counts)
-    return Verdict(False, word, accept_prob(a1, word), accept_prob(a2, word), **counts)
+    return basis_search(_narrow(a1), _narrow(a2))[0]
 
 
 def brute_force(

@@ -5,15 +5,17 @@ and never call the package's integer kernel (``CMatrix.__mul__``,
 ``row_times_matrix``, ``is_unitary``) or its span basis (``span_insert``),
 so a bug in either cannot hide in both sides of a comparison.  The module
 also holds a second oracle for equivalence, :func:`weighted_sums`, and
-builds the automata and the hostile input that several tests share.
+builds the automata, the search's start node and the hostile input that
+several tests share.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from qfaeq.linalg import CMatrix
-from qfaeq.qfa import KLetterQFA, _check_word, _context_at
+from qfaeq.equivalence import QueueItem
+from qfaeq.linalg import CMatrix, start_row
+from qfaeq.qfa import Alphabet, KLetterQFA, _check_word, _context_at
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce
 
 
@@ -180,6 +182,43 @@ def direct_sum(a: KLetterQFA, blocks: dict, initial, accepting) -> KLetterQFA:
         rows += [(ZERO,) * a.n + row for row in block]
         transitions[ctx] = CMatrix(rows)
     return KLetterQFA(a.n + len(pad), a.alphabet, a.k, initial, accepting, transitions)
+
+
+def rotation_qfa():
+    """One-letter unary automaton rotating by the (3,4,5) angle; accepting
+    state 0."""
+    return KLetterQFA(
+        n=2,
+        alphabet=Alphabet("a"),
+        k=1,
+        initial=(1, 0),
+        accepting=frozenset({0}),
+        transitions={
+            "a": CMatrix(
+                [
+                    [Fraction(3, 5), Fraction(-4, 5)],
+                    [Fraction(4, 5), Fraction(3, 5)],
+                ]
+            )
+        },
+    )
+
+
+def scale_initial(a: KLetterQFA, phase) -> KLetterQFA:
+    """a with its initial vector multiplied by phase."""
+    scaled = tuple(phase * x for x in a.initial)
+    return KLetterQFA(a.n, a.alphabet, a.k, scaled, a.accepting, a.transitions)
+
+
+def start_item(a1: KLetterQFA, a2: KLetterQFA) -> QueueItem:
+    """The empty word with the rows psi1^dagger and psi2^dagger."""
+    return QueueItem("", start_row(a1.initial), start_row(a2.initial))
+
+
+def accept_positions(a1: KLetterQFA, a2: KLetterQFA) -> list:
+    """The accepting diagonal entries of both blocks in a real row: the
+    block of a1 fills the first n1^2 coordinates."""
+    return [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
 
 
 PHASES = (

@@ -20,7 +20,6 @@ from functools import partial
 import pytest
 
 from qfaeq.equivalence import (
-    QueueItem,
     Verdict,
     basis_search,
     brute_force,
@@ -53,12 +52,15 @@ from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
 
 from reference import (
+    accept_positions,
     conj,
     direct_sum,
     mu_bar,
     norm_sq,
     position_weights,
     row_step,
+    scale_initial,
+    start_item,
     weighted_sums,
     with_phase_block,
 )
@@ -79,11 +81,6 @@ def criterion(report, line):
 # Pair constructions.  Everything is derived from explicit integer seeds so
 # reruns are reproducible down to the last bit.
 
-def scale_initial(a, phase):
-    scaled = tuple(phase * x for x in a.initial)
-    return KLetterQFA(a.n, a.alphabet, a.k, scaled, a.accepting, a.transitions)
-
-
 def permute_states(a, order):
     n = a.n
     initial = [None] * n
@@ -98,17 +95,6 @@ def permute_states(a, order):
                 rows[order[i]][order[j]] = mat[i, j]
         transitions[ctx] = CMatrix(rows)
     return KLetterQFA(n, a.alphabet, a.k, tuple(initial), accepting, transitions)
-
-
-def start_item(a1, a2):
-    """The empty word with the rows psi1^dagger and psi2^dagger."""
-    return QueueItem("", start_row(a1.initial), start_row(a2.initial))
-
-
-def accept_positions(a1, a2):
-    """The accepting diagonal entries of both blocks in a real row: the
-    block of a1 fills the first n1^2 coordinates."""
-    return [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
 
 
 def twist_last_transition(a, seed):
@@ -273,9 +259,9 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
         ) == "0a7cbee5cf036e2247be10bfe8e9a32fcf1e0f656a5e5720c87cbf35ce1bf7e2"
         # decide is basis_search read off; spot-check the pieces
         for r in runs[::24]:
-            sbm = basis_search(r.a1, r.a2)
-            assert sbm.witness == r.verdict.witness
-            assert {w: len(b) for w, b in sbm.bases.items()} == r.basis_sizes
+            v, bases = basis_search(r.a1, r.a2)
+            assert v.witness == r.verdict.witness
+            assert {w: len(b) for w, b in bases.items()} == r.basis_sizes
 
 
 def test_criterion_2_bilinear_identity(acceptance_report):
@@ -474,8 +460,7 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
             assert_float_free(r.a2)
         start = start_item(sample[0].a1, sample[0].a2)
         assert_float_free(start)
-        sbm = basis_search(sample[0].a1, sample[0].a2)
-        assert_float_free(sbm)
+        assert_float_free(basis_search(sample[0].a1, sample[0].a2))
         # search nodes hold reduced scaled ints, and the rows read off them
         # and the bases hold plain Fractions only
         for r in sample:
@@ -487,7 +472,7 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
                     assert_reduced_ints(row[0], row[1] + row[2])
                 assert all(type(x) is Fraction for x in real_row(item))
         for r in sample:
-            for basis in basis_search(r.a1, r.a2).bases.values():
+            for basis in basis_search(r.a1, r.a2)[1].values():
                 for row in basis.values():
                     assert all(type(x) is Fraction for x in row)
         # matrices and the integer rows of accept_prob and brute_force are

@@ -12,16 +12,14 @@ import pytest
 import qfaeq
 from qfaeq.cli import cli_main
 from qfaeq.io import load_qfa, serialize_qfa
-from qfaeq.linalg import CMatrix
 from qfaeq.qfa import (
     Alphabet,
-    KLetterQFA,
     accept_prob,
     always_accept_qfa,
     last_letter_qfa,
     validate,
 )
-from reference import coprime_denominators, scaled_size_document
+from reference import coprime_denominators, rotation_qfa, scaled_size_document
 
 
 @pytest.fixture(scope="module")
@@ -36,24 +34,7 @@ def files(tmp_path_factory):
 
     write("last_letter", last_letter_qfa())
     write("always", always_accept_qfa(Alphabet("ab")))
-    write(
-        "rotation",
-        KLetterQFA(
-            n=2,
-            alphabet=Alphabet("a"),
-            k=1,
-            initial=(1, 0),
-            accepting=frozenset({0}),
-            transitions={
-                "a": CMatrix(
-                    [
-                        [Fraction(3, 5), Fraction(-4, 5)],
-                        [Fraction(4, 5), Fraction(3, 5)],
-                    ]
-                )
-            },
-        ),
-    )
+    write("rotation", rotation_qfa())
     broken = base / "broken.json"
     text = (base / "last_letter.json").read_text()
     broken.write_text(text.replace('"1/1",\n      "0/1"', '"1/1",\n      "1/1"', 1))
@@ -234,6 +215,32 @@ def test_equiv_bruteforce_method(files, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --max-len:")
+
+
+def test_equiv_bruteforce_word_cap(files, capsys):
+    # Without --max-len the two-letter last-letter pair has depth 32, over
+    # 2^33 words: refused before any word is compared
+    bruteforce = ["equiv", "--method", "bruteforce"]
+    same = [files["last_letter"], files["last_letter"]]
+    assert cli_main(bruteforce + same) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --method bruteforce: depth 32 over 2 letters is more than "
+        "65536 words (the cap); give --max-len 15 or less\n"
+    )
+    # the cap counts the depth in use, --max-len included: 2^17 - 1 words
+    # at depth 16 are refused, and a small depth still gets its verdict
+    assert cli_main(bruteforce + same + ["--max-len", "16"]) == 2
+    assert "give --max-len 15 or less" in capsys.readouterr().err
+    assert cli_main(bruteforce + same + ["--max-len", "6"]) == 0
+    assert "verdict: equivalent" in capsys.readouterr().out
+    # a unary pair has one word per length: it runs to the full bound
+    rotation = [files["rotation"], files["rotation"], "--json"]
+    assert cli_main(bruteforce + rotation) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bound_used"] == 16
+    assert report["stats"]["nodes_processed"] == 17
 
 
 def test_equiv_alphabet_mismatch(files, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 import qfaeq.equivalence
 from qfaeq.equivalence import (
-    QueueItem,
     basis_search,
     brute_force,
     decide,
@@ -14,10 +13,11 @@ from qfaeq.equivalence import (
     real_row,
     theorem4_bound,
 )
-from qfaeq.linalg import CMatrix, _row_vector, span_insert, start_row
+from qfaeq.linalg import CMatrix, _row_vector, span_insert
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
+    _narrow,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -30,27 +30,20 @@ from qfaeq.qfa import (
 from qfaeq.scalars import GaussianRational
 
 from reference import (
+    accept_positions,
     adjoint,
     conj,
     in_span,
     matmul,
     mu_bar,
+    rotation_qfa,
     row_step,
+    scale_initial,
+    start_item,
     with_phase_block,
 )
 
 AB = Alphabet("ab")
-
-
-def start_item(a1, a2):
-    """The empty word with the rows psi1^dagger and psi2^dagger."""
-    return QueueItem("", start_row(a1.initial), start_row(a2.initial))
-
-
-def accept_positions(a1, a2):
-    """The accepting diagonal entries of both blocks in a real row: the
-    block of a1 fills the first n1^2 coordinates."""
-    return [*a1.accepting, *(a1.n * a1.n + q for q in a2.accepting)]
 
 
 def trace_difference(a1, a2, word):
@@ -96,11 +89,6 @@ def hermitian_coordinates(blocks):
     return tuple(row)
 
 
-def scale_initial(a, phase):
-    scaled = tuple(phase * x for x in a.initial)
-    return KLetterQFA(a.n, a.alphabet, a.k, scaled, a.accepting, a.transitions)
-
-
 def test_theorem4_bound_spot_values():
     assert theorem4_bound(2, 2, 2, 2) == 32
     assert theorem4_bound(2, 2, 1, 1) == 16  # k=1 reduces to (n1+n2)^2
@@ -134,8 +122,8 @@ def test_join_of_identity_with_itself_by_hand():
     assert trace_difference(a, a, "") == 0
     assert trace_difference(a, a, "aa") == 0
     # k = 1: a single class, named by the empty suffix
-    sbm = basis_search(a, a)
-    assert (sbm.witness, list(sbm.bases)) == (None, [""])
+    v, bases = basis_search(a, a)
+    assert (v.witness, list(bases)) == (None, [""])
     assert decide(a, a).equivalent
 
 
@@ -161,6 +149,13 @@ def test_join_block_structure():
     assert row == hermitian_coordinates([rho1, rho2])
 
 
+def search_record(a1, a2):
+    """What basis_search returns, with the counts that Verdict equality
+    leaves out."""
+    v, bases = basis_search(a1, a2)
+    return v, v.nodes_processed, v.basis_sizes, bases
+
+
 def test_join_lifts_mixed_window_widths():
     # Each automaton steps on its own window; lifting both to the common
     # width first changes no check, no count and no basis row.
@@ -176,9 +171,9 @@ def test_join_lifts_mixed_window_widths():
     for a1, a2 in pairs:
         k = max(a1.k, a2.k)
         assert (a1.k, a2.k) == (1, 2)
-        sbm = basis_search(a1, a2)
-        assert sbm == basis_search(lift(a1, k), lift(a2, k))
-        witnesses.append(sbm.witness)
+        found = search_record(a1, a2)
+        assert found == search_record(lift(a1, k), lift(a2, k))
+        witnesses.append(found[0].witness)
     assert witnesses == [None, "a", "bb"]
 
 
@@ -192,6 +187,18 @@ def test_decide_searches_lifts_at_their_effective_width():
         assert sorted(v.basis_sizes) == classes
         assert (v.nodes_processed, v.basis_sizes) == (
             same.nodes_processed, same.basis_sizes
+        )
+    # inequivalent pairs with a lift: the search narrows it, and the
+    # witness's probabilities, read off the narrowed rows, are those of the
+    # automata as given (seeds picked for a witness one letter long)
+    for k, s1, s2 in [(1, 33, 25), (2, 25, 11)]:
+        a1, a2 = random_qfa(2, AB, k, s1), lift(random_qfa(2, AB, k, s2), 3)
+        assert _narrow(a2).k == k
+        v = decide(a1, a2)
+        assert v.witness == "a"
+        assert v == brute_force(a1, a2, len(v.witness))
+        assert (v.p1, v.p2) == (
+            accept_prob(a1, v.witness), accept_prob(a2, v.witness)
         )
 
 
@@ -310,7 +317,7 @@ def test_check_span_insert_catches_lying_inserts(monkeypatch):
         assert len(calls) == 1
     # the real insert passes the same check
     check_span_insert(monkeypatch)
-    assert basis_search(a, a).witness is None
+    assert basis_search(a, a)[0].witness is None
 
 
 def test_basis_search_resource_bounds_and_order(monkeypatch):
@@ -321,29 +328,30 @@ def test_basis_search_resource_bounds_and_order(monkeypatch):
         a1 = random_qfa(n1, alphabet, k, seed=50 + n1)
         a2 = random_qfa(n2, alphabet, k, seed=60 + n2)
         for b1, b2 in [(a1, a2), (a1, a1), (a2, lift(a2, k + 1))]:
-            sbm = basis_search(b1, b2)
+            v, bases = basis_search(b1, b2)
             # a row has n1^2 + n2^2 real coordinates and its diagonal ones
             # sum to 0, so a class holds at most n1^2 + n2^2 - 1 rows;
             # searches that stop early keep within the same bounds
             d = b1.n**2 + b2.n**2 - 1
             kk = max(b1.k, b2.k)
-            sizes = [len(basis) for basis in sbm.bases.values()]
+            sizes = [len(basis) for basis in bases.values()]
+            assert v.basis_sizes == {w: len(b) for w, b in bases.items()}
             assert all(size <= d for size in sizes)
             assert sum(sizes) <= d * m ** (kk - 1)
-            assert sbm.processed <= m**kk * d
+            assert v.nodes_processed <= m**kk * d
             diagonal = [*range(b1.n), *range(b1.n**2, b1.n**2 + b2.n)]
-            for basis in sbm.bases.values():
+            for basis in bases.values():
                 for pivot, row in basis.items():
                     assert len(row) == d + 1
                     assert all(type(x) is Fraction for x in row)
                     assert row[pivot] == 1
                     assert sum(row[p] for p in diagonal) == 0
-            if sbm.witness is not None:
+            if v.witness is not None:
                 searched["stopped"] += 1
                 continue
             searched["full"] += 1
             # suffix classes are exactly the length k-1 words
-            assert sorted(sbm.bases) == sorted(
+            assert sorted(bases) == sorted(
                 "".join(p)
                 for p in itertools.product(alphabet.symbols, repeat=kk - 1)
             )
@@ -353,7 +361,7 @@ def test_basis_search_resource_bounds_and_order(monkeypatch):
             for length in range(kk + 3):
                 if length >= kk - 1:
                     for item in level:
-                        basis = sbm.bases[class_of(item.word, kk)]
+                        basis = bases[class_of(item.word, kk)]
                         assert in_span(basis.values(), real_row(item))
                 level = [
                     extend(b1, b2, it, s) for it in level for s in alphabet
@@ -398,12 +406,12 @@ def test_basis_search_records_short_words():
     # Words shorter than k-1 head no class: they are checked, and the search
     # stops at the first that differs before any class is seeded.
     assert last_letter_qfa().k == 2
-    sbm = basis_search(last_letter_qfa(), always_accept_qfa(AB))
-    assert (sbm.witness, sbm.processed, sbm.bases) == ("", 0, {})
+    v, bases = basis_search(last_letter_qfa(), always_accept_qfa(AB))
+    assert (v.witness, v.nodes_processed, bases) == ("", 0, {})
     # a pair that agrees on the empty word seeds every class
-    sbm = basis_search(last_letter_qfa(), last_letter_qfa())
-    assert sbm.witness is None
-    assert sorted(sbm.bases) == ["a", "b"]
+    v, bases = basis_search(last_letter_qfa(), last_letter_qfa())
+    assert v.witness is None
+    assert sorted(bases) == ["a", "b"]
 
 
 def test_decide_agrees_with_brute_force_small_grid():
@@ -483,21 +491,7 @@ def test_brute_force_witness_is_least_counterexample():
 
 
 def test_brute_force_honors_max_len():
-    rot = KLetterQFA(
-        n=2,
-        alphabet=Alphabet("a"),
-        k=1,
-        initial=(1, 0),
-        accepting=frozenset({0}),
-        transitions={
-            "a": CMatrix(
-                [
-                    [Fraction(3, 5), Fraction(-4, 5)],
-                    [Fraction(4, 5), Fraction(3, 5)],
-                ]
-            )
-        },
-    )
+    rot = rotation_qfa()
     eye = always_accept_qfa(Alphabet("a"))
     assert brute_force(rot, eye, max_len=0).equivalent
     v = brute_force(rot, eye, max_len=1)

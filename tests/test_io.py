@@ -20,25 +20,7 @@ from qfaeq.qfa import (
     random_qfa,
 )
 from qfaeq.scalars import GaussianRational, format_rational
-from reference import coprime_denominators, scaled_size_document
-
-
-def rotation_qfa():
-    return KLetterQFA(
-        n=2,
-        alphabet=Alphabet("a"),
-        k=1,
-        initial=(1, 0),
-        accepting=frozenset({0}),
-        transitions={
-            "a": CMatrix(
-                [
-                    [Fraction(3, 5), Fraction(-4, 5)],
-                    [Fraction(4, 5), Fraction(3, 5)],
-                ]
-            )
-        },
-    )
+from reference import coprime_denominators, rotation_qfa, scaled_size_document
 
 
 def complex_phase_qfa():

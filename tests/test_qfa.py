@@ -29,28 +29,7 @@ from qfaeq.qfa import (
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
-from reference import conj, mu_bar, norm_sq, row_step
-
-ROTATION = CMatrix(
-    [
-        [Fraction(3, 5), Fraction(-4, 5)],
-        [Fraction(4, 5), Fraction(3, 5)],
-    ]
-)
-
-
-def rotation_qfa():
-    """One-letter unary automaton rotating by the (3,4,5) angle; accepting
-    state 0."""
-    return KLetterQFA(
-        n=2,
-        alphabet=Alphabet("a"),
-        k=1,
-        initial=(1, 0),
-        accepting=frozenset({0}),
-        transitions={"a": ROTATION},
-    )
-
+from reference import conj, mu_bar, norm_sq, rotation_qfa, row_step
 
 def test_alphabet_rules():
     ab = Alphabet("ab")

@@ -77,9 +77,10 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     than R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total
     rank of its suffix classes, because a checked word of length L >= k - 1
     has L - k + 1 ancestors of lengths k - 1 .. L - 1, each inserted and so
-    adding one to that rank.  Both bounds also hold with k the larger
-    effective width, the width :func:`decide` searches at after undoing
-    lifts, which can be smaller than the declared one.
+    adding one to that rank; :func:`brute_force` takes R + k - 1 as its
+    default depth.  Both bounds also hold with k the larger effective
+    width, the width :func:`decide` searches at after undoing lifts, which
+    can be smaller than the declared one.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
@@ -249,19 +250,22 @@ def brute_force(
 ) -> Verdict:
     """Compare acceptance probabilities on every word up to a length cap.
 
-    With the default cap :func:`theorem4_bound` the answer is definitive,
-    but enumeration is exponential in the cap for alphabets of two or more
-    symbols; this is a cross-check oracle for small instances, not the
-    production procedure.  It walks :func:`basis_search`'s queue, each
-    word's rows made by :func:`extend`, but checks every word and queues
-    the children of each word shorter than the cap.  The witness, if any,
-    is the least differing word in word order.  A negative cap is a
-    ValueError.
+    With the default cap R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1)
+    and k is the larger declared width, the answer is definitive: past that
+    length :func:`basis_search` checks no word, as :func:`theorem4_bound`'s
+    docstring proves.  Enumeration is exponential in the cap for alphabets
+    of two or more symbols; this is a cross-check oracle for small
+    instances, not the production procedure.  It walks
+    :func:`basis_search`'s queue, each word's rows made by :func:`extend`,
+    but checks every word and queues the children of each word shorter
+    than the cap.  The witness, if any, is the least differing word in
+    word order.  A negative cap is a ValueError.
     """
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     if max_len is None:
-        max_len = theorem4_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
+        k = max(a1.k, a2.k)
+        max_len = (a1.n**2 + a2.n**2 - 1) * len(symbols) ** (k - 1) + k - 1
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
     checked = 0

@@ -28,8 +28,12 @@ over its own, read straight into the integer form of
 4300 digits, each common denominator (the lcm of the denominators it
 covers) at most 8600, and the nonzero parts of one matrix, scaled to it,
 at most 1 100 800 together, so hostile input stops at a located error
-before any arithmetic on it.  One writer formats both back, exact at any
-size.
+before any arithmetic on it.  The reader takes a matrix's parts in bulk:
+one pattern match over all of them joined, then one int call per
+numerator and per distinct denominator, the lcm taken over the distinct
+denominators.  Only when a bulk check fails does it walk the parts one by
+one in document order, to name the first problem; that walk builds no
+values.  One writer formats both back, exact at any size.
 """
 
 from __future__ import annotations
@@ -79,6 +83,11 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # on int conversion from text, enforced here on every version.
 _MAX_DIGITS = 4300
 
+# The parts of a matrix joined by commas, each written "p/q" within the
+# digit cap.
+_PART = rf"-?[0-9]{{1,{_MAX_DIGITS}}}/[0-9]{{1,{_MAX_DIGITS}}}"
+_PARTS_RE = re.compile(rf"{_PART}(?:,{_PART})*")
+
 # Digits allowed in the common denominator of a matrix, and the bound it
 # stays below.
 _MAX_DEN_DIGITS = 2 * _MAX_DIGITS
@@ -98,26 +107,6 @@ def _locate(where: str, *index: int) -> str:
     return where + "".join(f"[{i}]" for i in index)
 
 
-def _rational_parts(text, where: str, *index: int) -> tuple[int, int]:
-    """The numerator and the positive denominator of a "p/q" or "p" string,
-    as written, not reduced.  An error names the location where[i][j]...
-    for the indices given, formatted only when raised."""
-    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise QfaFormatError(f"{_locate(where, *index)}: malformed rational {text!r}")
-    num, den = match.groups()
-    if len(num) - (num[0] == "-") > _MAX_DIGITS or len(den or "") > _MAX_DIGITS:
-        raise QfaFormatError(
-            f"{_locate(where, *index)}: rational too long ({len(text)} characters)"
-        )
-    den = int(den) if den else 1
-    if not den:
-        raise QfaFormatError(
-            f"{_locate(where, *index)}: malformed rational {text!r} (zero denominator)"
-        )
-    return int(num), den
-
-
 def _scaled_digits(nums: list, dens: list, den: int) -> int:
     """A bound on the digits that the nonzero parts nums[i] / dens[i] take
     scaled to den: p * (den // q) has at most p.bit_length() +
@@ -133,38 +122,71 @@ def _scaled_digits(nums: list, dens: list, den: int) -> int:
     return (1234 * bits >> 12) + len(qs)
 
 
+def _raise_first_problem(rows: list, n: int, parts: list) -> None:
+    """Raise the first problem, if any, among parts, the [re, im] parts
+    read so far from rows in document order, checked one at a time with
+    the common-denominator cap after each.  The message names the part,
+    such as initial[0][1] or transitions['a'][2][0][1]."""
+    den = 1
+    for i, text in enumerate(parts):
+        at = _locate(rows[i // (2 * n)][0], i // 2 % n, i % 2)
+        match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise QfaFormatError(f"{at}: malformed rational {text!r}")
+        num, q = match.groups()
+        if max(len(num) - (num[0] == "-"), len(q or "")) > _MAX_DIGITS:
+            raise QfaFormatError(f"{at}: rational too long ({len(text)} characters)")
+        den = lcm(den, int(q or 1))  # 0 after a zero denominator
+        if not den:
+            raise QfaFormatError(
+                f"{at}: malformed rational {text!r} (zero denominator)"
+            )
+        if den >= _MAX_DEN:
+            raise QfaFormatError(
+                f"{at}: common denominator exceeds {_MAX_DEN_DIGITS} digits"
+            )
+
+
 def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
     """The common denominator of the [re, im] pairs in rows, a list of
     (location, row of n pairs), and their real and imaginary parts scaled
-    to it, one tuple per row.  Each part is checked in document order, and
-    an error names its location, such as initial[0][1] or
-    transitions['a'][2][0][1].  The lcm is capped at _MAX_DEN_DIGITS digits:
-    every part is scaled to it, so without a cap a few dozen coprime
-    denominators would make every scaled part huge.  Under that cap a few
-    large denominators can still make thousands of small parts large, so
-    before any part is scaled, :func:`_scaled_digits` of them all is capped
-    at _MAX_SCALED_DIGITS."""
-    nums, dens = [], []
-    den = 1
+    to it, one tuple per row.  The parts are checked and read in bulk; when
+    a check fails, :func:`_raise_first_problem` names the first problem.
+    The lcm is capped at _MAX_DEN_DIGITS digits: every part is scaled to it,
+    so without a cap a few dozen coprime denominators would make every
+    scaled part huge.  Under that cap a few large denominators can still
+    make thousands of small parts large, so before any part is scaled,
+    :func:`_scaled_digits` of them all is capped at _MAX_SCALED_DIGITS."""
+    parts = []
     for where, row in rows:
         if not isinstance(row, list) or len(row) != n:
+            _raise_first_problem(rows, n, parts)
             raise QfaFormatError(f"{where}: expected {n} entries")
         for c, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
+                _raise_first_problem(rows, n, parts)
                 raise QfaFormatError(
                     f"{where}[{c}]: expected a [re, im] pair of strings"
                 )
-            for part in (0, 1):
-                p, q = _rational_parts(pair[part], where, c, part)
-                if den % q:
-                    den = lcm(den, q)
-                    if den >= _MAX_DEN:
-                        raise QfaFormatError(
-                            f"{_locate(where, c, part)}: common denominator "
-                            f"exceeds {_MAX_DEN_DIGITS} digits"
-                        )
-                nums.append(p)
-                dens.append(q)
+            parts += pair
+    try:  # each part as "p/q", joined by commas
+        text = ",".join([p if "/" in p else p + "/1" for p in parts])
+    except TypeError:  # a part that is not a string
+        text = ""
+    # a part that holds a comma adds one
+    if not _PARTS_RE.fullmatch(text) or text.count(",") != len(parts) - 1:
+        _raise_first_problem(rows, n, parts)
+    pieces = text.replace(",", "/").split("/")
+    # each distinct denominator, read only while the lcm stays under its cap
+    value = dict.fromkeys(pieces[1::2])
+    den = 1
+    for q in value:
+        value[q] = int(q)
+        den = lcm(den, value[q])  # 0 after a zero denominator
+        if not den or den >= _MAX_DEN:
+            _raise_first_problem(rows, n, parts)
+    nums = list(map(int, pieces[::2]))
+    dens = list(map(value.__getitem__, pieces[1::2]))
     if _scaled_digits(nums, dens, den) > _MAX_SCALED_DIGITS:
         # the bound only grows part by part: name the first part past the cap
         i = bisect_left(

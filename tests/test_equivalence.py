@@ -506,12 +506,44 @@ def test_brute_force_rejects_negative_max_len():
 
 
 def test_brute_force_default_depth_is_the_bound():
-    # Unary pair where enumeration to the full bound is cheap.
-    a1 = random_qfa(2, Alphabet("a"), 1, seed=201)
-    a2 = random_qfa(2, Alphabet("a"), 1, seed=202)
-    v = brute_force(a1, a2)
-    w = brute_force(a1, a2, max_len=theorem4_bound(2, 2, 1, 1))
-    assert v == w
+    # The default depth is the rank bound R + k - 1 that theorem4_bound's
+    # docstring proves, R = (n1^2 + n2^2 - 1) * m^(k-1) with k the larger
+    # declared width.  Each pair accepts every word with probability one,
+    # so brute_force checks every word up to that depth.
+    for alphabet, n2, k2, depth in [
+        (Alphabet("a"), 2, 1, 4),
+        (Alphabet("a"), 3, 3, 11),
+        (AB, 2, 1, 4),
+        (AB, 1, 3, 6),
+    ]:
+        a1 = always_accept_qfa(alphabet)
+        a2 = with_accepting(random_qfa(n2, alphabet, k2, 3), set(range(n2)))
+        m, k = len(alphabet), max(a1.k, a2.k)
+        assert depth == (1 + n2 * n2 - 1) * m ** (k - 1) + k - 1
+        assert depth < theorem4_bound(1, n2, m, k)
+        v = brute_force(a1, a2)
+        assert v.equivalent
+        assert v.nodes_processed == sum(m**length for length in range(depth + 1))
+    # with it, brute_force agrees with decide on unary and two-letter pairs:
+    # a pair with one context's transition swapped, a global phase and a
+    # random pair
+    rng = random.Random(201)
+    for n, m, k in [(2, 1, 1), (3, 1, 2), (2, 2, 1)]:
+        alphabet = Alphabet("ab"[:m])
+        for _ in range(2):
+            a = random_qfa(n, alphabet, k, seed=rng.randrange(10**6))
+            other = random_qfa(n, alphabet, k, seed=rng.randrange(10**6))
+            ctx = max(a.transitions)
+            swapped = {**a.transitions, ctx: other.transitions[ctx]}
+            twist = KLetterQFA(n, alphabet, k, a.initial, a.accepting, swapped)
+            for b in (twist, scale_initial(a, -1), other):
+                fast, slow = decide(a, b), brute_force(a, b)
+                assert (slow.equivalent, slow.witness, slow.p1, slow.p2) == (
+                    fast.equivalent,
+                    fast.witness,
+                    fast.p1,
+                    fast.p2,
+                )
 
 
 def test_k1_brute_force_to_corollary_bound_matches_decide():

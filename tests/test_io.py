@@ -45,14 +45,28 @@ def test_parse_rational_grammar():
         (["-1", "0"], GaussianRational(-1)),
         (["0/7", "-1"], GaussianRational(0, -1)),
         (["6/10", "8/10"], GaussianRational(Fraction(3, 5), Fraction(4, 5))),
+        (["-0", "-1"], GaussianRational(0, -1)),
+        (["007/25", "-0024/25"], GaussianRational(Fraction(7, 25), Fraction(-24, 25))),
     ]:
         doc["initial"][0] = pair
         doc["transitions"]["a"][0][0] = pair
         a = parse_doc(doc)
         assert a.initial == (value,)
         assert a.transitions["a"][0, 0] == value
+    # bare integers next to "p/q" parts in one matrix
+    doc = json.loads(serialize_qfa(rotation_qfa()))
+    doc["transitions"]["a"] = [
+        [["3/5", "0"], ["-4/5", "-0"]],
+        [["4/5", "000"], ["0003/5", "0/9"]],
+    ]
+    assert parse_doc(doc) == rotation_qfa()
     doc = one_state_document()
-    for bad in ["3/0", "1.5", "3/-5", "a/b", "", "1/2/3", "0x1", None, 3]:
+    # parts that a comma-joined reading could misread, and parts that int()
+    # takes but the grammar does not
+    for bad in [
+        "3/0", "1.5", "3/-5", "a/b", "", "1/2/3", "0x1", None, 3,
+        "1,2", "1/2,3/4", "+1", " 1", "1 ", "1_0", "\u0661",
+    ]:
         doc["initial"][0][1] = bad
         with pytest.raises(
             QfaFormatError, match=r"^initial\[0\]\[1\]: malformed rational"
@@ -345,6 +359,48 @@ def test_common_denominator_cap_is_located():
         match=r"^initial\[1\]\[0\]: common denominator exceeds 8600 digits$",
     ):
         parse_doc(doc)
+
+
+def test_first_of_two_problems_in_a_matrix_is_reported():
+    # Each matrix holds two problems; the message names whichever comes
+    # first in document order, a common-denominator cap, a zero denominator
+    # or a malformed part ahead of a pair or a row of the wrong shape.
+    doc = json.loads(serialize_qfa(random_qfa(6, Alphabet("ab"), 1, 0)))
+    dens = coprime_denominators(3)
+    at = r"^transitions\['a'\]"
+    lcm_cap = "common denominator exceeds 8600 digits$"
+    for edits, message in [
+        (
+            {(0, 0, 0): f"1/{dens[0]}", (0, 0, 1): f"1/{dens[1]}",
+             (0, 1, 0): f"1/{dens[2]}", (4, 2, 1): "1/2/3"},
+            rf"{at}\[0\]\[1\]\[0\]: {lcm_cap}",
+        ),
+        (
+            {(0, 0, 0): "1/2/3", (2, 0, 0): f"1/{dens[0]}",
+             (2, 0, 1): f"1/{dens[1]}", (2, 1, 0): f"1/{dens[2]}"},
+            rf"{at}\[0\]\[0\]\[0\]: malformed rational '1/2/3'$",
+        ),
+        (
+            {(1, 3, 1): "2/0", (4, 2, 1): "1/2/3"},
+            rf"{at}\[1\]\[3\]\[1\]: malformed rational '2/0' \(zero denominator\)$",
+        ),
+        (
+            {(1, 3, 1): "1/2/3", (4, 2): ["1"]},
+            rf"{at}\[1\]\[3\]\[1\]: malformed rational '1/2/3'$",
+        ),
+        (
+            {(0, 2, 0): "1/2/3", (3,): [["1", "0"]]},
+            rf"{at}\[0\]\[2\]\[0\]: malformed rational '1/2/3'$",
+        ),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        for index, value in edits.items():
+            target = bad["transitions"]["a"]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = value
+        with pytest.raises(QfaFormatError, match=message):
+            parse_doc(bad)
 
 
 def test_scaled_size_cap_is_located():

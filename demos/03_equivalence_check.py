@@ -23,8 +23,8 @@ from qfaeq import (
     last_letter_qfa,
     lift,
     random_qfa,
-    theorem4_bound,
 )
+from qfaeq.equivalence import rank_bound
 from fractions import Fraction
 
 two = Alphabet("ab")
@@ -58,9 +58,11 @@ print("  equivalent:", v.equivalent)
 if not v.equivalent:
     print("  witness   :", repr(v.witness), " p1 =", v.p1, " p2 =", v.p2)
 
-# Any difference must appear within this many letters; the brute-force
-# check below only needs to look that far (here it stops much earlier).
-bound = theorem4_bound(a.n, c.n, len(two), max(a.k, c.k))
+# Any difference must appear within this many letters, the rank bound
+# R + k - 1 (the paper's Theorem 4 depth, theorem4_bound, is larger); the
+# brute-force check below only needs to look that far (here it stops much
+# earlier).
+bound = rank_bound(a.n, c.n, len(two), max(a.k, c.k))
 print("  length bound:", bound)
 vb = brute_force(a, c, max_len=8)
 print("  brute-force agrees:", vb == v,

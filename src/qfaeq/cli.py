@@ -8,7 +8,11 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
     equiv FILE1 FILE2             equivalence check with witness report
         [--method algebraic|bruteforce [--max-len N]] [--json]
     gen --states N --alphabet CSV --k K --seed S -o FILE
-    bound FILE1 FILE2             print the guaranteed search depth
+    bound FILE1 FILE2             print the paper's Theorem 4 depth
+
+``equiv`` reports its depth as ``bound_used``: the ``--max-len`` given, or
+else :func:`~qfaeq.equivalence.rank_bound` for either method.  ``bound``
+prints the paper's larger :func:`~qfaeq.equivalence.theorem4_bound`.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ import time
 from .equivalence import (
     brute_force,
     decide,
+    rank_bound,
     require_shared_alphabet,
     theorem4_bound,
 )
 from .io import QfaFormatError, load_qfa, save_qfa
-from .qfa import Alphabet, KLetterQFA, accept_prob, random_qfa
+from .qfa import Alphabet, KLetterQFA, _length_past_cap, accept_prob, random_qfa
 from .scalars import format_rational
 
 __all__ = ["cli_main"]
@@ -79,22 +84,6 @@ def _cmd_prob(ns) -> int:
     return 0
 
 
-def _check_word_count(m: int, depth: int) -> None:
-    """Refuse a brute-force depth with more than _MAX_BRUTEFORCE_WORDS
-    words over m letters.  The count grows one length at a time and stops
-    at the cap, so a huge depth never forms m**depth."""
-    words = power = 1
-    for length in range(1, depth + 1):
-        power *= m
-        words += power
-        if words > _MAX_BRUTEFORCE_WORDS:
-            raise QfaFormatError(
-                f"--method bruteforce: depth {depth} over {m} letters is more "
-                f"than {_MAX_BRUTEFORCE_WORDS} words (the cap); give "
-                f"--max-len {length - 1} or less"
-            )
-
-
 def _cmd_equiv(ns) -> int:
     if ns.max_len is not None and ns.method != "bruteforce":
         raise QfaFormatError("--max-len: only --method bruteforce takes a depth cap")
@@ -104,9 +93,15 @@ def _cmd_equiv(ns) -> int:
     depth = ns.max_len
     m = len(a1.alphabet)
     if depth is None:
-        depth = theorem4_bound(a1.n, a2.n, m, max(a1.k, a2.k))
+        depth = rank_bound(a1.n, a2.n, m, max(a1.k, a2.k))
     if ns.method == "bruteforce":
-        _check_word_count(m, depth)
+        too_deep = _length_past_cap(m, _MAX_BRUTEFORCE_WORDS, depth, count=1)
+        if too_deep is not None:
+            raise QfaFormatError(
+                f"--method bruteforce: depth {depth} over {m} letters is more "
+                f"than {_MAX_BRUTEFORCE_WORDS} words (the cap); give "
+                f"--max-len {too_deep - 1} or less"
+            )
     start = time.perf_counter()
     if ns.method == "algebraic":
         verdict = decide(a1, a2)
@@ -179,9 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=None,
-        help="cap the bruteforce search depth (default: the full bound); "
-        "a depth with more than 65536 words is refused, as the full bound "
-        "is for most alphabets of two or more symbols",
+        help="cap the bruteforce search depth (default: the rank bound); "
+        "a depth with more than 65536 words is refused, as the rank bound "
+        "is for all but small automata over two or more symbols",
     )
     p.set_defaults(func=_cmd_equiv)
 
@@ -193,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bound", help="print the guaranteed search depth")
+    p = sub.add_parser("bound", help="print the paper's Theorem 4 depth")
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(func=_cmd_bound)
@@ -201,10 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

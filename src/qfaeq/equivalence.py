@@ -64,27 +64,39 @@ __all__ = [
     "Verdict",
     "brute_force",
     "decide",
+    "rank_bound",
     "require_shared_alphabet",
     "theorem4_bound",
 ]
 
 
 def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
-    """The paper's Theorem 4 search depth: automata with n1 and n2 states
-    over an m-symbol alphabet and window width k that agree on every word
-    of length below this bound agree on all words.  It is a sufficient
-    depth, not the least one: :func:`basis_search` checks no word longer
-    than R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total
-    rank of its suffix classes, because a checked word of length L >= k - 1
-    has L - k + 1 ancestors of lengths k - 1 .. L - 1, each inserted and so
-    adding one to that rank; :func:`brute_force` takes R + k - 1 as its
-    default depth.  Both bounds also hold with k the larger effective
-    width, the width :func:`decide` searches at after undoing lifts, which
-    can be smaller than the declared one.
+    """The paper's Theorem 4 search depth, n^2 m^(k-1) - m^(k-1) + k for
+    n = n1 + n2: automata with n1 and n2 states over an m-symbol alphabet
+    and window width k that agree on every word of length below this bound
+    agree on all words.  It is a sufficient depth, not the least one;
+    :func:`rank_bound` is the sharper depth the program runs.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
     return ((n1 + n2) ** 2 - 1) * m ** (k - 1) + k
+
+
+def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
+    """The longest word :func:`basis_search` can check, R + k - 1, where
+    R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total rank of its suffix
+    classes: a checked word of length L >= k - 1 has L - k + 1 ancestors
+    of lengths k - 1 .. L - 1, each inserted and so adding one to that rank.
+    Two automata that agree on every word up to this length agree on all
+    words, a rank argument in the style of Tzeng (SIAM J. Comput. 1992).
+    It is :func:`brute_force`'s default depth and the depth ``qfaeq equiv``
+    reports, and never exceeds :func:`theorem4_bound`.  It also holds with k
+    the larger effective width, the width :func:`decide` searches at after
+    undoing lifts, which can be smaller than the declared one.
+    """
+    if n1 < 1 or n2 < 1 or m < 1 or k < 1:
+        raise ValueError("state counts, alphabet size, and k must be positive")
+    return (n1 * n1 + n2 * n2 - 1) * m ** (k - 1) + k - 1
 
 
 class QueueItem(NamedTuple):
@@ -250,10 +262,9 @@ def brute_force(
 ) -> Verdict:
     """Compare acceptance probabilities on every word up to a length cap.
 
-    With the default cap R + k - 1, where R = (n1^2 + n2^2 - 1) * m^(k-1)
-    and k is the larger declared width, the answer is definitive: past that
-    length :func:`basis_search` checks no word, as :func:`theorem4_bound`'s
-    docstring proves.  Enumeration is exponential in the cap for alphabets
+    With the default cap, :func:`rank_bound` for the larger declared width,
+    the answer is definitive: past that length :func:`basis_search` checks
+    no word.  Enumeration is exponential in the cap for alphabets
     of two or more symbols; this is a cross-check oracle for small
     instances, not the production procedure.  It walks
     :func:`basis_search`'s queue, each word's rows made by :func:`extend`,
@@ -264,8 +275,7 @@ def brute_force(
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     if max_len is None:
-        k = max(a1.k, a2.k)
-        max_len = (a1.n**2 + a2.n**2 - 1) * len(symbols) ** (k - 1) + k - 1
+        max_len = rank_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
     checked = 0

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from .scalars import GaussianRational, _coerce
+from .scalars import GaussianRational
 
 __all__ = [
     "CMatrix",
@@ -44,11 +44,9 @@ __all__ = [
 
 
 def as_scalar(value) -> GaussianRational:
-    """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
-    scalar = _coerce(value)
-    if scalar is None:
-        raise TypeError(f"cannot use {value!r} as an exact scalar")
-    return scalar
+    """Coerce an int, Fraction, or GaussianRational to a GaussianRational;
+    anything inexact is the constructor's TypeError."""
+    return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
 def _entry(x: int, y: int, den: int) -> GaussianRational:
@@ -268,6 +266,9 @@ def span_insert(basis: dict, row) -> bool:
     if pivot is None:
         return False
     inv = residual[pivot]
+    if type(inv) is not Fraction:
+        # a Fraction pivot keeps int entries exact: int / int is a float
+        inv = Fraction(inv)
     normalized = [x / inv if x else x for x in residual]
     entries = [(j, y) for j, y in enumerate(normalized) if y]
     for brow in basis.values():

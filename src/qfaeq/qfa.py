@@ -127,22 +127,29 @@ _MAX_STATES = 64
 _MAX_CONTEXTS = 4096
 
 
+def _length_past_cap(m: int, cap: int, limit: int, count: int = 0) -> int | None:
+    """The least L <= limit with count + m + m**2 + ... + m**L > cap, or
+    None.  The sum grows one power at a time and stops at the cap, so a
+    huge limit never forms m**limit."""
+    power = 1
+    for length in range(1, limit + 1):
+        power *= m
+        count += power
+        if count > cap:
+            return length
+    return None
+
+
 def _context_excess(alphabet: Alphabet, k: int) -> str | None:
     """The problem with a window of width k over alphabet if it has more
-    than _MAX_CONTEXTS contexts, else None.  The count grows one width at a
-    time and stops at the cap, so a huge k never forms m**k."""
+    than _MAX_CONTEXTS contexts, else None."""
     m = len(alphabet)
-    contexts = 0
-    power = 1
-    for _ in range(k):
-        power *= m
-        contexts += power
-        if contexts > _MAX_CONTEXTS:
-            return (
-                f"alphabet size {m} and window width {k} give more than "
-                f"{_MAX_CONTEXTS} contexts (the cap)"
-            )
-    return None
+    if _length_past_cap(m, _MAX_CONTEXTS, k) is None:
+        return None
+    return (
+        f"alphabet size {m} and window width {k} give more than "
+        f"{_MAX_CONTEXTS} contexts (the cap)"
+    )
 
 
 def _context_at(k: int, word: str, i: int) -> str:

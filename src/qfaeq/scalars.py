@@ -24,14 +24,15 @@ class GaussianRational:
     convention and hashable.
 
     Plain ``int`` and ``Fraction`` values mix freely on either side of the
-    arithmetic operators and in equality comparisons.
+    arithmetic operators and in equality comparisons.  Each part must be
+    exact, a :class:`numbers.Rational`; a float or a string is a TypeError.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is Fraction else _exact_part(re)
+        self.im = im if type(im) is Fraction else _exact_part(im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -124,11 +125,17 @@ def format_rational(value: Fraction) -> str:
     return _ratio_text(value.numerator, value.denominator)
 
 
+def _exact_part(value) -> Fraction:
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError(f"cannot use {value!r} as an exact scalar")
+
+
 def _coerce(value) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, Rational):
-        return GaussianRational(value if type(value) is Fraction else Fraction(value))
+        return GaussianRational(value)
     return None
 
 

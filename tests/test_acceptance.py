@@ -332,11 +332,12 @@ def test_criterion_3_bound_conformance(grid_runs, acceptance_report):
 
 def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
     runs, _ = grid_runs
-    reached = narrowed = 0
+    reached = narrowed = unary = 0
     with criterion(
         acceptance_report,
         "criterion 4: per-class rank n1^2 + n2^2 - 1, total, and queue "
-        "bounds hold on every criterion-1 search",
+        "bounds hold on every criterion-1 search, and the unary total "
+        "rank n1^2 + n2^2 - n1 - n2 + 1 on the unary ones",
     ):
         for r in runs:
             # real coordinates of two Hermitian blocks whose diagonals sum
@@ -349,6 +350,16 @@ def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
             assert all(s <= d for s in r.basis_sizes.values())
             assert r.total_size <= d * m ** (k - 1)
             assert r.processed <= m**k * d
+            if m == 1:
+                # the sharper unary bound R1 = n1^2 + n2^2 - n1 - n2 + 1:
+                # Phi = Phi1 (+) Phi2 is diagonalizable with eigenvalues
+                # conj(lambda_p) * lambda_q, each Phi_i has at most
+                # n_i^2 - n_i + 1 distinct ones, and the eigenvalue 1 is
+                # shared, so the one class's Krylov space has at most R1
+                # dimensions (test_unary_rank_bound has the full argument)
+                n1, n2 = r.a1.n, r.a2.n
+                assert r.total_size <= n1 * n1 + n2 * n2 - n1 - n2 + 1
+                unary += 1
             if r.verdict.equivalent:
                 # only a full search seeds every class
                 assert len(r.basis_sizes) == m ** (k - 1)
@@ -356,6 +367,7 @@ def test_criterion_4_resource_bounds(grid_runs, acceptance_report):
                 narrowed += k < r.joint_k
         assert reached > 0
         assert narrowed > 0
+        assert unary > 0
 
 
 def test_criterion_5_worked_example(acceptance_report):

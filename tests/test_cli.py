@@ -17,6 +17,7 @@ from qfaeq.qfa import (
     accept_prob,
     always_accept_qfa,
     last_letter_qfa,
+    random_qfa,
     validate,
 )
 from reference import coprime_denominators, rotation_qfa, scaled_size_document
@@ -124,7 +125,7 @@ def test_equiv_last_letter_vs_always(files, capsys):
     assert lines[:-1] == [
         "verdict: not_equivalent",
         "method: algebraic",
-        "bound_used: 18",
+        "bound_used: 9",
         "witness: ''",
         "p1: 0/1",
         "p2: 1/1",
@@ -180,7 +181,7 @@ def test_equiv_bruteforce_method(files, capsys):
     assert rc == 1
     assert "method: bruteforce" in out
     assert "witness: ''" in out
-    assert "bound_used: 4" in out  # the depth compared, not the Theorem 4 bound
+    assert "bound_used: 4" in out  # the depth compared, not the rank bound
     rc = cli_main(
         [
             "equiv",
@@ -217,30 +218,39 @@ def test_equiv_bruteforce_method(files, capsys):
         assert captured.err.startswith("error: --max-len:")
 
 
-def test_equiv_bruteforce_word_cap(files, capsys):
-    # Without --max-len the two-letter last-letter pair has depth 32, over
-    # 2^33 words: refused before any word is compared
+def test_equiv_bruteforce_word_cap(files, capsys, tmp_path):
+    # Without --max-len a two-letter pair of 3-state width-2 automata has
+    # the rank bound 35 as its depth, over 2^36 words: refused before any
+    # word is compared
     bruteforce = ["equiv", "--method", "bruteforce"]
-    same = [files["last_letter"], files["last_letter"]]
-    assert cli_main(bruteforce + same) == 2
+    three = tmp_path / "three.json"
+    three.write_text(serialize_qfa(random_qfa(3, Alphabet("ab"), 2, 5)))
+    assert cli_main(bruteforce + [str(three), str(three)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: --method bruteforce: depth 32 over 2 letters is more than "
+        "error: --method bruteforce: depth 35 over 2 letters is more than "
         "65536 words (the cap); give --max-len 15 or less\n"
     )
+    # the last-letter pair's rank bound 15 is within the cap: all 2^16 - 1
+    # words up to it are compared
+    same = [files["last_letter"], files["last_letter"]]
+    assert cli_main(bruteforce + same + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bound_used"] == 15
+    assert report["stats"]["nodes_processed"] == 65535
     # the cap counts the depth in use, --max-len included: 2^17 - 1 words
     # at depth 16 are refused, and a small depth still gets its verdict
     assert cli_main(bruteforce + same + ["--max-len", "16"]) == 2
     assert "give --max-len 15 or less" in capsys.readouterr().err
     assert cli_main(bruteforce + same + ["--max-len", "6"]) == 0
     assert "verdict: equivalent" in capsys.readouterr().out
-    # a unary pair has one word per length: it runs to the full bound
+    # a unary pair has one word per length: it runs to the rank bound
     rotation = [files["rotation"], files["rotation"], "--json"]
     assert cli_main(bruteforce + rotation) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["bound_used"] == 16
-    assert report["stats"]["nodes_processed"] == 17
+    assert report["bound_used"] == 7
+    assert report["stats"]["nodes_processed"] == 8
 
 
 def test_equiv_alphabet_mismatch(files, capsys):

@@ -10,6 +10,7 @@ from qfaeq.equivalence import (
     brute_force,
     decide,
     extend,
+    rank_bound,
     real_row,
     theorem4_bound,
 )
@@ -98,6 +99,50 @@ def test_theorem4_bound_spot_values():
         theorem4_bound(0, 2, 1, 1)
     with pytest.raises(ValueError):
         theorem4_bound(2, 2, 2, 0)
+
+
+def test_rank_bound_spot_values():
+    # R + k - 1 with R = (n1^2 + n2^2 - 1) * m^(k-1)
+    assert rank_bound(2, 2, 2, 2) == 15
+    assert rank_bound(2, 1, 2, 2) == 9
+    assert rank_bound(2, 2, 1, 1) == 7
+    for bad in [(0, 2, 1, 1), (2, 0, 1, 1), (2, 2, 0, 1), (2, 2, 2, 0)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            rank_bound(*bad)
+    # never deeper than the paper's Theorem 4 depth
+    for shape in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3), (1, 2, 3)):
+        assert rank_bound(*shape) <= theorem4_bound(*shape)
+
+
+def test_unary_rank_bound():
+    # For a one-letter alphabet the total rank is at most
+    # R1 = n1^2 + n2^2 - n1 - n2 + 1.  From length k - 1 on, each row is
+    # Phi^L applied to the row of a^(k-1), with Phi = Phi1 (+) Phi2 and
+    # Phi_i(X) = T_i^dagger X T_i for the transition T_i at window a^k.
+    # Each Phi_i is diagonalizable because T_i is unitary, with eigenvalues
+    # conj(lambda_p) * lambda_q; its n_i diagonal ones all equal 1, so at
+    # most n_i^2 - n_i + 1 are distinct, and the eigenvalue 1 is shared by
+    # Phi1 and Phi2.  A Krylov space has at most as many dimensions as Phi
+    # has distinct eigenvalues, which bounds the one class's rank by R1.
+    # With every state accepting each pair is equivalent, so every search
+    # runs to its end.
+    rng = random.Random(7)
+    unary = Alphabet("a")
+    attained = 0
+    for _ in range(30):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
+        k = rng.choice((1, 2, 3))
+        a1 = random_qfa(n1, unary, k, seed=rng.randrange(10**6))
+        a2 = random_qfa(n2, unary, rng.randint(1, k), seed=rng.randrange(10**6))
+        v = decide(
+            with_accepting(a1, set(range(n1))), with_accepting(a2, set(range(n2)))
+        )
+        assert v.equivalent
+        total = sum(v.basis_sizes.values())
+        r1 = n1 * n1 + n2 * n2 - n1 - n2 + 1
+        assert total <= r1, (n1, n2, k, total)
+        attained += total == r1
+    assert attained > 0
 
 
 def test_join_requires_matching_alphabets():
@@ -506,10 +551,10 @@ def test_brute_force_rejects_negative_max_len():
 
 
 def test_brute_force_default_depth_is_the_bound():
-    # The default depth is the rank bound R + k - 1 that theorem4_bound's
-    # docstring proves, R = (n1^2 + n2^2 - 1) * m^(k-1) with k the larger
-    # declared width.  Each pair accepts every word with probability one,
-    # so brute_force checks every word up to that depth.
+    # The default depth is rank_bound's R + k - 1, with
+    # R = (n1^2 + n2^2 - 1) * m^(k-1) and k the larger declared width.
+    # Each pair accepts every word with probability one, so brute_force
+    # checks every word up to that depth.
     for alphabet, n2, k2, depth in [
         (Alphabet("a"), 2, 1, 4),
         (Alphabet("a"), 3, 3, 11),
@@ -520,6 +565,7 @@ def test_brute_force_default_depth_is_the_bound():
         a2 = with_accepting(random_qfa(n2, alphabet, k2, 3), set(range(n2)))
         m, k = len(alphabet), max(a1.k, a2.k)
         assert depth == (1 + n2 * n2 - 1) * m ** (k - 1) + k - 1
+        assert depth == rank_bound(1, n2, m, k)
         assert depth < theorem4_bound(1, n2, m, k)
         v = brute_force(a1, a2)
         assert v.equivalent

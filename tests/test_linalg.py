@@ -210,6 +210,12 @@ def test_span_insert_updates_in_place():
     # a dependent row changes nothing
     assert not span_insert(basis, [Fraction(5), Fraction(-7)])
     assert basis == {0: e0, 1: [0, 1]}
+    # plain int rows stay exact: no entry becomes a float
+    basis = {}
+    assert span_insert(basis, [2, 4, 6])
+    assert span_insert(basis, [0, 1, 3])
+    assert basis == {0: [1, 0, -3], 1: [0, 1, 3]}
+    assert all(type(x) is not float for row in basis.values() for x in row)
 
 
 def test_contains_detects_linear_combinations():

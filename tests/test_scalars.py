@@ -21,6 +21,15 @@ def test_construction_coerces_ints():
     assert z.im == Fraction(-2)
 
 
+def test_construction_refuses_inexact_parts():
+    # only numbers.Rational parts; as_scalar's wording for anything else
+    for bad in (0.1, "3/5", 1j, None):
+        with pytest.raises(TypeError, match="as an exact scalar"):
+            GaussianRational(bad)
+        with pytest.raises(TypeError, match="as an exact scalar"):
+            GaussianRational(1, bad)
+
+
 def test_constants():
     assert not ZERO
     assert ONE.re == 1 and not ONE.im

@@ -11,8 +11,9 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
     bound FILE1 FILE2             print the paper's Theorem 4 depth
 
 ``equiv`` reports its depth as ``bound_used``: the ``--max-len`` given, or
-else :func:`~qfaeq.equivalence.rank_bound` for either method.  ``bound``
-prints the paper's larger :func:`~qfaeq.equivalence.theorem4_bound`.
+else :func:`~qfaeq.equivalence.rank_bound` for either method at the larger
+effective width, the width the search runs at once lifts are undone.
+``bound`` prints the paper's larger :func:`~qfaeq.equivalence.theorem4_bound`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from .equivalence import (
     theorem4_bound,
 )
 from .io import QfaFormatError, load_qfa, save_qfa
-from .qfa import Alphabet, KLetterQFA, _length_past_cap, accept_prob, random_qfa
+from .qfa import (
+    Alphabet,
+    KLetterQFA,
+    _length_past_cap,
+    _narrow,
+    accept_prob,
+    random_qfa,
+)
 from .scalars import format_rational
 
 __all__ = ["cli_main"]
@@ -89,7 +97,9 @@ def _cmd_equiv(ns) -> int:
         raise QfaFormatError("--max-len: only --method bruteforce takes a depth cap")
     if ns.max_len is not None and ns.max_len < 0:
         raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
-    a1, a2 = _load_two(ns.file1, ns.file2)
+    # both methods check the narrowed automata's words, rows and
+    # probabilities, which are those of the automata as given
+    a1, a2 = map(_narrow, _load_two(ns.file1, ns.file2))
     depth = ns.max_len
     m = len(a1.alphabet)
     if depth is None:

@@ -33,7 +33,15 @@ one pattern match over all of them joined, then one int call per
 numerator and per distinct denominator, the lcm taken over the distinct
 denominators.  Only when a bulk check fails does it walk the parts one by
 one in document order, to name the first problem; that walk builds no
-values.  One writer formats both back, exact at any size.
+values.
+
+One writer, :func:`serialize_qfa`, formats both back, exact at any size,
+as the text json.dumps(doc, indent=2) gives, byte for byte.  It lays that
+text out itself, because with indent set json encodes in pure Python on
+CPython 3.12 and earlier: json.dumps writes the head fields and each
+context key, and each row of numbers is formatted, one gcd per part, and
+joined in that layout directly, once per matrix object however many
+contexts share it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import json
 import re
 from bisect import bisect_left
 from math import gcd, lcm
+from operator import floordiv
 
 from .linalg import CMatrix, _row_vector, _scaled_row
 from .qfa import (
@@ -206,18 +215,30 @@ def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
     return den, re, im
 
 
-def _format_rows(den: int, re: tuple, im: tuple) -> list:
-    """Each entry of (re + i*im)/den as a reduced [re, im] pair of "p/q"
-    strings, one gcd per part."""
+def _parts(den: int, xs: list) -> map:
+    """Each x/den for x in xs as reduced "p/q" text, one gcd per part."""
+    dens = itertools.repeat(den)
+    gs = list(map(gcd, xs, dens))
+    return map(_ratio_text, map(floordiv, xs, gs), map(floordiv, dens, gs))
 
-    def part(x: int) -> str:
-        g = gcd(x, den)
-        return _ratio_text(x // g, den // g)
 
-    return [
-        [[part(x), part(y)] for x, y in zip(xs, ys)]
-        for xs, ys in zip(re, im)
-    ]
+def _rows_text(den: int, re: tuple, im: tuple, pad: str) -> str:
+    """The rows of [re, im] pairs of (re + i*im)/den, joined by commas, as
+    json.dumps(..., indent=2) lays out rows whose brackets are indented by
+    pad: each pair two spaces deeper, and each part four."""
+    pair = "\n" + pad + "  "
+    part = pair + "  "
+    opening = f'[{pair}[{part}"'
+    within = f'",{part}"'
+    between = f'"{pair}],{pair}[{part}"'
+    closing = f'"{pair}]\n{pad}]'
+    flat = itertools.chain.from_iterable
+    res = _parts(den, list(flat(re)))
+    ims = _parts(den, list(flat(im)))
+    pairs = list(map(within.join, zip(res, ims)))
+    n = len(re[0])
+    rows = [between.join(pairs[i : i + n]) for i in range(0, len(pairs), n)]
+    return opening + f"{closing},\n{pad}{opening}".join(rows) + closing
 
 
 def _require_int(obj, where: str, minimum: int) -> int:
@@ -300,23 +321,38 @@ def parse_qfa(text: str) -> KLetterQFA:
 
 
 def serialize_qfa(a: KLetterQFA) -> str:
-    """Serialize to the canonical document text; parse_qfa inverts this
+    """Serialize to the canonical document text, json.dumps(doc, indent=2)
+    of the document plus a newline, byte for byte; parse_qfa inverts this
     field-for-field."""
-    s, xs, ys = _scaled_row(a.initial)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "k": a.k,
-        "alphabet": list(a.alphabet.symbols),
-        "states": a.n,
-        "initial": _format_rows(s, (xs,), (ys,))[0],
-        "accepting": sorted(a.accepting),
-        "transitions": {
-            ctx: _format_rows(m.den, m.re, m.im)
-            for ctx in reachable_contexts(a.alphabet, a.k)
-            for m in [a.transitions[ctx]]
+    head = json.dumps(
+        {
+            "format_version": FORMAT_VERSION,
+            "k": a.k,
+            "alphabet": list(a.alphabet.symbols),
+            "states": a.n,
+            "initial": None,
+            "accepting": sorted(a.accepting),
         },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        indent=2,
+    )
+    # "initial": null occurs once: the alphabet's symbols are single
+    # characters, so no symbol's text holds it
+    before, after = head[:-2].split('"initial": null')
+    s, xs, ys = _scaled_row(a.initial)
+    initial = _rows_text(s, (xs,), (ys,), "  ")
+    # a matrix that several contexts share, as lift makes them, is laid out
+    # once
+    texts = {}
+    matrices = []
+    for ctx in reachable_contexts(a.alphabet, a.k):
+        m = a.transitions[ctx]
+        if id(m) not in texts:
+            texts[id(m)] = _rows_text(m.den, m.re, m.im, "      ")
+        matrices.append(f"{json.dumps(ctx)}: [\n      {texts[id(m)]}\n    ]")
+    return (
+        f'{before}"initial": {initial}{after},\n'
+        '  "transitions": {\n    ' + ",\n    ".join(matrices) + "\n  }\n}\n"
+    )
 
 
 def load_qfa(path) -> KLetterQFA:

@@ -6,17 +6,26 @@ and never call the package's integer kernel (``CMatrix.__mul__``,
 so a bug in either cannot hide in both sides of a comparison.  The module
 also holds a second oracle for equivalence, :func:`weighted_sums`, and
 builds the automata, the search's start node and the hostile input that
-several tests share.
+several tests share, and the writer that serializes a document through
+the standard library's json encoder.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 from qfaeq.equivalence import QueueItem
-from qfaeq.linalg import CMatrix, start_row
-from qfaeq.qfa import Alphabet, KLetterQFA, _check_word, _context_at
-from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce
+from qfaeq.linalg import CMatrix, _scaled_row, start_row
+from qfaeq.qfa import (
+    Alphabet,
+    KLetterQFA,
+    _check_word,
+    _context_at,
+    reachable_contexts,
+)
+from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce, _ratio_text
 
 
 def norm_sq(v) -> Fraction:
@@ -271,3 +280,38 @@ def scaled_size_document():
         "accepting": [0],
         "transitions": {"a": matrix},
     }
+
+
+def _format_rows(den: int, re: tuple, im: tuple) -> list:
+    """Each entry of (re + i*im)/den as a reduced [re, im] pair of "p/q"
+    strings, one gcd per part."""
+
+    def part(x: int) -> str:
+        g = gcd(x, den)
+        return _ratio_text(x // g, den // g)
+
+    return [
+        [[part(x), part(y)] for x, y in zip(xs, ys)]
+        for xs, ys in zip(re, im)
+    ]
+
+
+def serialize_reference(a: KLetterQFA) -> str:
+    """The canonical document text built as a dict and written by
+    json.dumps(doc, indent=2), the text :func:`qfaeq.io.serialize_qfa`
+    must reproduce byte for byte."""
+    s, xs, ys = _scaled_row(a.initial)
+    doc = {
+        "format_version": 1,
+        "k": a.k,
+        "alphabet": list(a.alphabet.symbols),
+        "states": a.n,
+        "initial": _format_rows(s, (xs,), (ys,))[0],
+        "accepting": sorted(a.accepting),
+        "transitions": {
+            ctx: _format_rows(m.den, m.re, m.im)
+            for ctx in reachable_contexts(a.alphabet, a.k)
+            for m in [a.transitions[ctx]]
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"

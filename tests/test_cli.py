@@ -17,6 +17,7 @@ from qfaeq.qfa import (
     accept_prob,
     always_accept_qfa,
     last_letter_qfa,
+    lift,
     random_qfa,
     validate,
 )
@@ -251,6 +252,24 @@ def test_equiv_bruteforce_word_cap(files, capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["bound_used"] == 7
     assert report["stats"]["nodes_processed"] == 8
+
+
+def test_equiv_depth_at_effective_width(capsys, tmp_path):
+    # a width-5 lift of a width-1 automaton is searched at width 1, so the
+    # default depth is the rank bound there, 7, not 116 at the declared
+    # width, whose 2^117 - 1 words bruteforce would refuse
+    a = random_qfa(2, Alphabet("ab"), 1, 3)
+    pair = []
+    for name, automaton in (("plain", a), ("lifted", lift(a, 5))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_qfa(automaton))
+        pair.append(str(path))
+    assert cli_main(["equiv", *pair, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound_used"] == 7
+    assert cli_main(["equiv", *pair, "--method", "bruteforce", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bound_used"] == 7
+    assert report["stats"]["nodes_processed"] == 255
 
 
 def test_equiv_alphabet_mismatch(files, capsys):

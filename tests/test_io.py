@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -17,10 +19,16 @@ from qfaeq.qfa import (
     KLetterQFA,
     always_accept_qfa,
     last_letter_qfa,
+    lift,
     random_qfa,
 )
 from qfaeq.scalars import GaussianRational, format_rational
-from reference import coprime_denominators, rotation_qfa, scaled_size_document
+from reference import (
+    coprime_denominators,
+    rotation_qfa,
+    scaled_size_document,
+    serialize_reference,
+)
 
 
 def complex_phase_qfa():
@@ -126,6 +134,47 @@ def test_serialization_is_canonical_and_stable():
             num, _, den = part.partition("/")
             assert int(den) > 0
             assert Fraction(int(num), int(den)) == Fraction(part)
+
+
+def writer_cases():
+    """Automata the generator pin does not reach: widths up to 3 over up to
+    three letters, a lift, whose contexts share matrix objects, symbols
+    that json escapes, an empty accepting set, and a unit phase whose
+    parts pass 4000 digits, where _ratio_text writes them in pieces."""
+    for n, m, k in itertools.product((1, 2, 3, 8), (1, 2, 3), (1, 2, 3)):
+        yield random_qfa(n, Alphabet("abc"[:m]), k, seed=n + m + k)
+    yield lift(random_qfa(3, Alphabet("ab"), 2, seed=5), 4)
+    escapes = random_qfa(2, Alphabet(['"', "\\", "\u00e9", "\t", "\u2028"]), 2, seed=3)
+    yield escapes
+    yield dataclasses.replace(escapes, accepting=frozenset())
+    # the primitive Pythagorean triple of u = 10**2050 + 1 and v = u - 1
+    u, v = 10**2050 + 1, 10**2050
+    phase = CMatrix._from_ints(
+        u * u + v * v, ((u * u - v * v,),), ((2 * u * v,),)
+    )
+    yield KLetterQFA(1, Alphabet("a"), 1, (1,), frozenset({0}), {"a": phase})
+
+
+def test_writer_matches_json_layout_and_round_trips():
+    for a in writer_cases():
+        text = serialize_qfa(a)
+        assert text == serialize_reference(a)
+        assert parse_qfa(text) == a
+
+
+def test_writer_matches_json_layout_past_the_digit_cap():
+    # serialize_qfa does not validate: an entry of 4501 digits is written
+    # exactly, and only the reader refuses it
+    entry = CMatrix._from_ints(10**4500 + 7, ((1,),), ((0,),))
+    a = KLetterQFA(1, Alphabet("a"), 1, (1,), frozenset(), {"a": entry})
+    text = serialize_qfa(a)
+    assert text == serialize_reference(a)
+    with pytest.raises(
+        QfaFormatError,
+        match=r"^transitions\['a'\]\[0\]\[0\]\[0\]: rational too long "
+        r"\(4503 characters\)$",
+    ):
+        parse_qfa(text)
 
 
 def test_unreduced_input_is_normalized():

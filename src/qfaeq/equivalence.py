@@ -39,17 +39,17 @@ acceptance probabilities, read off its rows by
 :func:`~qfaeq.linalg.row_prob`, differ; that word is the least
 counterexample.  The trace identity above is why this test is enough: it
 makes P1 - P2 linear in the real row, so a discarded row, a combination
-of rows that all passed it, passes it too.  :func:`brute_force` walks the
-same queue of words in the same order with the same test, but checks
-every word up to a length cap instead of collecting spans.
+of rows that all passed it, passes it too.  There is one loop:
+:func:`brute_force` walks the same words with the same test, but extends
+every word shorter than a length cap instead of collecting spans.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .linalg import (
     _row_vector,
@@ -74,12 +74,11 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     """The paper's Theorem 4 search depth, n^2 m^(k-1) - m^(k-1) + k for
     n = n1 + n2: automata with n1 and n2 states over an m-symbol alphabet
     and window width k that agree on every word of length below this bound
-    agree on all words.  It is a sufficient depth, not the least one;
-    :func:`rank_bound` is the sharper depth the program runs.
+    agree on all words.  It is a sufficient depth, not the least one:
+    :func:`rank_bound`, the sharper depth the program runs, plus the cross
+    term 2 n1 n2 m^(k-1) of n^2, plus one.
     """
-    if n1 < 1 or n2 < 1 or m < 1 or k < 1:
-        raise ValueError("state counts, alphabet size, and k must be positive")
-    return ((n1 + n2) ** 2 - 1) * m ** (k - 1) + k
+    return rank_bound(n1, n2, m, k) + 2 * n1 * n2 * m ** (k - 1) + 1
 
 
 def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
@@ -171,13 +170,13 @@ class Verdict:
     cap), and ``p1 != p2`` are those exact probabilities, read off the
     witness's two rows by :func:`~qfaeq.linalg.row_prob`.
 
-    ``nodes_processed`` counts the rows :func:`basis_search` checked for
-    words of length k or more, where k is the larger width it searched at
-    (for :func:`decide`, the effective one), or the words compared by
-    :func:`brute_force`; ``basis_sizes`` maps each suffix class, the last
-    k-1 letters, seeded before the search ended to its basis size (``None``
-    for brute force).  Neither takes part in equality, so two verdicts are
-    equal when they give the same answer.
+    ``nodes_processed`` is the count of the one word walk both run: every
+    word :func:`brute_force` compared, or the words of length k or more
+    :func:`basis_search` checked, for k the larger width it searched at
+    (for :func:`decide`, the effective one); ``basis_sizes`` maps each
+    suffix class, the last k-1 letters, seeded before the search ended to
+    its basis size (``None`` for brute force).  Neither takes part in
+    equality, so two verdicts are equal when they give the same answer.
     """
 
     equivalent: bool
@@ -188,52 +187,67 @@ class Verdict:
     basis_sizes: dict | None = field(default=None, compare=False)
 
 
-def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
-    """Collect a spanning set of rows per suffix class, or stop at the least
-    counterexample; return the verdict and the bases.
-
-    Each automaton steps on its own window; the common width
-    k = max(k1, k2) only names the suffix classes.  Words come off one FIFO
-    queue in word order, each extended from its parent just before it is
-    checked, and the first word whose two acceptance probabilities differ
-    ends the search as the witness.  A word shorter than k-1 heads no class
-    and is always extended.  From length k-1 on, the word's real row goes
-    into the basis of the class named by its last k-1 letters, and the word
-    is extended only if the row was independent; a dependent row is
-    discarded.  By the trace identity a discarded row's word can differ
-    only if an earlier word of its class did, and when no word differs the
-    row of every unextended word lies in a span of rows with accepting sum
-    zero, which is why the search decides equivalence.
-
-    The bases map each class seeded before the search ended to its fully
-    reduced basis, a dict from pivot column to row (see
-    :func:`~qfaeq.linalg.span_insert`).
-    """
+def _walk(a1: KLetterQFA, a2: KLetterQFA, grow: Callable) -> Verdict:
+    """The one loop of :func:`basis_search` and :func:`brute_force`: check
+    words in word order, each made by :func:`extend` from its parent, until
+    two acceptance probabilities differ, queueing a word's children only
+    when ``grow(item)`` is true; ``nodes_processed`` counts words checked."""
     require_shared_alphabet(a1, a2)
-    k = max(a1.k, a2.k)
     symbols = a1.alphabet.symbols
     start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
-    bases = {}
-    processed = 0
-    answer = (True,)
+    checked = 0
     # pending words as (parent, last letter); the empty word is taken as is
     queue = deque([(start, None)])
     while queue:
         parent, sigma = queue.popleft()
         item = parent if sigma is None else extend(a1, a2, parent, sigma)
-        length = len(item.word)
-        processed += length >= k
+        checked += 1
         p1 = row_prob(item.v1, a1.accepting)
         p2 = row_prob(item.v2, a2.accepting)
         if p1 != p2:
-            answer = (False, item.word, p1, p2)
-            break
-        if length < k - 1 or span_insert(
-            bases.setdefault(item.word[length - k + 1 :], {}), real_row(item)
-        ):
+            return Verdict(False, item.word, p1, p2, nodes_processed=checked)
+        if grow(item):
             queue.extend((item, s) for s in symbols)
+    return Verdict(True, nodes_processed=checked)
+
+
+def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
+    """Collect a spanning set of rows per suffix class, or stop at the least
+    counterexample; return the verdict and the bases.
+
+    Each automaton steps on its own window; the common width
+    k = max(k1, k2) only names the suffix classes.  The search is the word
+    walk it shares with :func:`brute_force`, and differs only in which
+    words it extends.  A word shorter than k-1 heads no class and is always
+    extended.  From length k-1 on, the word's real row goes into the basis
+    of the class named by its last k-1 letters, and the word is extended
+    only if the row was independent; a dependent row is discarded.  By the
+    trace identity a discarded row's word can differ only if an earlier
+    word of its class did, and when no word differs the row of every
+    unextended word lies in a span of rows with accepting sum zero, which
+    is why the search decides equivalence.
+
+    The bases map each class seeded before the search ended to its fully
+    reduced basis, a dict from pivot column to row (see
+    :func:`~qfaeq.linalg.span_insert`).
+    """
+    k = max(a1.k, a2.k)
+    bases = {}
+
+    def grow(item: QueueItem) -> bool:
+        length = len(item.word)
+        return length < k - 1 or span_insert(
+            bases.setdefault(item.word[length - k + 1 :], {}), real_row(item)
+        )
+
+    verdict = _walk(a1, a2, grow)
+    # Words shorter than k-1 are always extended and the queue is FIFO, so
+    # every word shorter than k is checked before any longer one: those of
+    # length k or more are the words checked past the first 1 + ... + m^(k-1).
+    shorter = sum(len(a1.alphabet) ** j for j in range(k))
+    processed = max(0, verdict.nodes_processed - shorter)
     sizes = {w: len(b) for w, b in bases.items()}
-    return Verdict(*answer, nodes_processed=processed, basis_sizes=sizes), bases
+    return replace(verdict, nodes_processed=processed, basis_sizes=sizes), bases
 
 
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
@@ -262,34 +276,19 @@ def brute_force(
 ) -> Verdict:
     """Compare acceptance probabilities on every word up to a length cap.
 
-    With the default cap, :func:`rank_bound` for the larger declared width,
-    the answer is definitive: past that length :func:`basis_search` checks
-    no word.  Enumeration is exponential in the cap for alphabets
-    of two or more symbols; this is a cross-check oracle for small
-    instances, not the production procedure.  It walks
-    :func:`basis_search`'s queue, each word's rows made by :func:`extend`,
-    but checks every word and queues the children of each word shorter
-    than the cap.  The witness, if any, is the least differing word in
-    word order.  A negative cap is a ValueError.
+    It runs :func:`basis_search`'s loop, with the same rows, test and
+    witness, on the automata as given, but extends every word shorter than
+    the cap.  With the default cap, :func:`rank_bound` at the larger
+    effective width, the answer is definitive: past that length
+    :func:`basis_search` checks no word.  Enumeration is exponential in the
+    cap for alphabets of two or more symbols; this is a cross-check oracle
+    for small instances, not the production procedure.  The witness, if
+    any, is the least differing word in word order.  A negative cap is a
+    ValueError.
     """
-    require_shared_alphabet(a1, a2)
-    symbols = a1.alphabet.symbols
     if max_len is None:
-        max_len = rank_bound(a1.n, a2.n, len(symbols), max(a1.k, a2.k))
+        k = max(_narrow(a1).k, _narrow(a2).k)
+        max_len = rank_bound(a1.n, a2.n, len(a1.alphabet), k)
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
-    checked = 0
-    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
-    # the search's queue: (parent, last letter), the empty word taken as is
-    queue = deque([(start, None)])
-    while queue:
-        parent, sigma = queue.popleft()
-        item = parent if sigma is None else extend(a1, a2, parent, sigma)
-        checked += 1
-        p1 = row_prob(item.v1, a1.accepting)
-        p2 = row_prob(item.v2, a2.accepting)
-        if p1 != p2:
-            return Verdict(False, item.word, p1, p2, nodes_processed=checked)
-        if len(item.word) < max_len:
-            queue.extend((item, s) for s in symbols)
-    return Verdict(True, nodes_processed=checked)
+    return _walk(a1, a2, lambda item: len(item.word) < max_len)

@@ -416,15 +416,23 @@ def test_basis_search_resource_bounds_and_order(monkeypatch):
 
 def test_class_rank_reaches_hermitian_bound():
     # Two automata that accept every word with probability 1 agree, and
-    # only the traces tie their blocks together: with random unitaries a
-    # class reaches n1^2 + n2^2 - 1 rows.
-    for n1, n2, k, sizes in [(2, 3, 1, {"": 12}), (2, 2, 2, {"a": 7, "b": 7})]:
-        a1 = random_qfa(n1, AB, k, seed=1)
-        a2 = random_qfa(n2, AB, k, seed=2)
+    # only the traces tie their blocks together: with random unitaries each
+    # class reaches n1^2 + n2^2 - 1 rows, for mixed widths too.  At full
+    # rank every inserted row's two children are checked, which pins the
+    # count of words of length k or more, here with 2^k - 1 words shorter.
+    for n1, k1, n2, k2 in [
+        (2, 1, 3, 1), (2, 2, 2, 2), (2, 1, 3, 2), (2, 2, 3, 3), (2, 3, 2, 3),
+    ]:
+        k = max(k1, k2)
+        a1 = random_qfa(n1, AB, k1, seed=1)
+        a2 = random_qfa(n2, AB, k2, seed=2)
         v = decide(with_accepting(a1, range(n1)), with_accepting(a2, range(n2)))
+        rank = n1 * n1 + n2 * n2 - 1
         assert v.equivalent
-        assert v.basis_sizes == sizes
-        assert v.nodes_processed == 2**k * (n1 * n1 + n2 * n2 - 1)
+        classes = ("".join(c) for c in itertools.product("ab", repeat=k - 1))
+        assert v.basis_sizes == dict.fromkeys(classes, rank)
+        assert sum(v.basis_sizes.values()) == rank * 2 ** (k - 1)
+        assert v.nodes_processed == 2**k * rank
 
 
 def test_equivalent_pairs_beyond_conjugation():
@@ -543,6 +551,19 @@ def test_brute_force_honors_max_len():
     assert not v.equivalent and v.witness == "a"
 
 
+def test_brute_force_default_depth_at_effective_width():
+    # A lift keeps its behavior, so the default depth is sized at the width
+    # decide searches at: rank_bound(2, 2, 1, 1) = 7, eight unary words,
+    # where the declared width 4 would give 10.  The lift is still walked
+    # as given, on its own width-4 matrices.
+    rot = rotation_qfa()
+    wide = lift(rot, 4)
+    assert wide.k == 4 and _narrow(wide).k == 1
+    v = brute_force(rot, wide)
+    assert v.equivalent and v.nodes_processed == 8
+    assert brute_force(wide, rot).nodes_processed == 8
+
+
 def test_brute_force_rejects_negative_max_len():
     a = always_accept_qfa(AB)
     for cap in (-1, -5):
@@ -552,7 +573,8 @@ def test_brute_force_rejects_negative_max_len():
 
 def test_brute_force_default_depth_is_the_bound():
     # The default depth is rank_bound's R + k - 1, with
-    # R = (n1^2 + n2^2 - 1) * m^(k-1) and k the larger declared width.
+    # R = (n1^2 + n2^2 - 1) * m^(k-1) and k the larger effective width,
+    # here the declared one: no automaton below is a lift.
     # Each pair accepts every word with probability one, so brute_force
     # checks every word up to that depth.
     for alphabet, n2, k2, depth in [

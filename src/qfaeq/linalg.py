@@ -74,15 +74,13 @@ class CMatrix:
         width = len(data[0])
         if width == 0 or any(len(row) != width for row in data):
             raise ValueError("matrix rows must be nonempty and equally long")
-        rows = [_scaled_row(row) for row in data]
-        den = lcm(*(s for s, _, _ in rows))
+        den, re, im = _scaled_row(tuple(chain.from_iterable(data)))
+        cuts = range(0, len(re), width)
         self.nrows = len(data)
         self.ncols = width
-        # every row has content 1 over its own scale, so none is left over
-        # their lcm
         self.den = den
-        self.re = tuple(tuple(x * (den // s) for x in re) for s, re, _ in rows)
-        self.im = tuple(tuple(y * (den // s) for y in im) for s, _, im in rows)
+        self.re = tuple(re[i : i + width] for i in cuts)
+        self.im = tuple(im[i : i + width] for i in cuts)
 
     @classmethod
     def _from_ints(cls, den: int, re: tuple, im: tuple) -> "CMatrix":

@@ -302,20 +302,33 @@ def _narrow(a: KLetterQFA) -> KLetterQFA:
     lift to a.k is a, or a itself when no j < a.k has one.
 
     Width j fits when every two contexts, padded ones included, that end in
-    the same j characters have the same matrix (by value); the narrowed
-    automaton keeps those matrix objects keyed by those j characters.  A
-    width that fits makes every wider one fit, so the window shrinks one
-    letter at a time, dropping the first character of every context, until
-    a missing context or a mismatch stops it.
+    the same j characters have the same matrix (by value).  The parent of a
+    context with i real letters, ``body = ctx.lstrip(LAMBDA)``, is
+    ``body[1:].rjust(a.k, LAMBDA)``, and j fits exactly when every context
+    with more than j real letters has its parent's matrix.  Proof: following
+    parents down from a context reaches the one with j real letters, its
+    padded last j characters; and a context with i > j real letters shares
+    its last i - 1 >= j characters with its parent.  So one pass that reads
+    each context once finds the least width: the largest i at which some
+    context differs from its parent, or 1.  The narrowed automaton, built
+    once, keeps for each width-j context c the matrix object of
+    ``c.rjust(a.k, LAMBDA)``; a missing context returns a.
     """
-    while a.k > 1:
-        transitions = {}
-        for ctx in _iter_contexts(a.alphabet, a.k):
-            m = a.transitions.get(ctx)
-            if m is None or transitions.setdefault(ctx[1:], m) != m:
-                return a
-        a = KLetterQFA(a.n, a.alphabet, a.k - 1, a.initial, a.accepting, transitions)
-    return a
+    width = 1
+    for ctx in _iter_contexts(a.alphabet, a.k):
+        m = a.transitions.get(ctx)
+        if m is None:
+            return a
+        body = ctx.lstrip(LAMBDA)
+        if len(body) > width and a.transitions[body[1:].rjust(a.k, LAMBDA)] != m:
+            width = len(body)
+    if width >= a.k:
+        return a
+    transitions = {
+        ctx: a.transitions[ctx.rjust(a.k, LAMBDA)]
+        for ctx in _iter_contexts(a.alphabet, width)
+    }
+    return KLetterQFA(a.n, a.alphabet, width, a.initial, a.accepting, transitions)
 
 
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled

@@ -6,8 +6,9 @@ and never call the package's integer kernel (``CMatrix.__mul__``,
 so a bug in either cannot hide in both sides of a comparison.  The module
 also holds a second oracle for equivalence, :func:`weighted_sums`, and
 builds the automata, the search's start node and the hostile input that
-several tests share, and the writer that serializes a document through
-the standard library's json encoder.
+several tests share, the writer that serializes a document through the
+standard library's json encoder, and a narrowing that peels one letter
+at a time, :func:`narrow_by_peeling`.
 """
 
 import itertools
@@ -217,6 +218,22 @@ def scale_initial(a: KLetterQFA, phase) -> KLetterQFA:
     """a with its initial vector multiplied by phase."""
     scaled = tuple(phase * x for x in a.initial)
     return KLetterQFA(a.n, a.alphabet, a.k, scaled, a.accepting, a.transitions)
+
+
+def narrow_by_peeling(a: KLetterQFA) -> KLetterQFA:
+    """What :func:`~qfaeq.qfa._narrow` returns, found one width at a time:
+    while every context's matrix equals, by value, the first one stored
+    under its last k - 1 characters, drop the first character of every
+    context and build the narrower automaton; a missing context or a
+    mismatch returns the automaton reached so far."""
+    while a.k > 1:
+        transitions = {}
+        for ctx in reachable_contexts(a.alphabet, a.k):
+            m = a.transitions.get(ctx)
+            if m is None or transitions.setdefault(ctx[1:], m) != m:
+                return a
+        a = KLetterQFA(a.n, a.alphabet, a.k - 1, a.initial, a.accepting, transitions)
+    return a
 
 
 def start_item(a1: KLetterQFA, a2: KLetterQFA) -> QueueItem:

@@ -272,6 +272,19 @@ def test_equiv_depth_at_effective_width(capsys, tmp_path):
     assert report["stats"]["nodes_processed"] == 255
 
 
+def test_equiv_wide_unary_lifts(capsys, tmp_path):
+    # two width-1024 lifts of a 2-state unary automaton, 1024 contexts
+    # each: both narrow to width 1, where the rank bound is 7
+    pair = []
+    for name in ("first", "second"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_qfa(lift(rotation_qfa(), 1024)))
+        pair.append(str(path))
+    assert cli_main(["equiv", *pair, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["bound_used"]) == ("equivalent", 7)
+
+
 def test_equiv_alphabet_mismatch(files, capsys):
     assert cli_main(["equiv", files["rotation"], files["always"]]) == 2
     assert "alphabet mismatch" in capsys.readouterr().err

@@ -145,7 +145,7 @@ def test_unary_rank_bound():
     assert attained > 0
 
 
-def test_join_requires_matching_alphabets():
+def test_checks_require_matching_alphabets():
     with pytest.raises(ValueError):
         basis_search(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
     # same symbols in another order: the message names both alphabets
@@ -155,7 +155,7 @@ def test_join_requires_matching_alphabets():
             check(ab, ba)
 
 
-def test_join_of_identity_with_itself_by_hand():
+def test_start_of_identity_with_itself_by_hand():
     a = always_accept_qfa(Alphabet("a"))
     start = start_item(a, a)
     assert start.v1 == start.v2 == (1, (1,), (0,))
@@ -172,7 +172,7 @@ def test_join_of_identity_with_itself_by_hand():
     assert decide(a, a).equivalent
 
 
-def test_join_block_structure():
+def test_start_row_block_structure():
     a1 = random_qfa(2, AB, 1, seed=1)
     a2 = random_qfa(1, AB, 1, seed=2)
     start = start_item(a1, a2)
@@ -201,7 +201,7 @@ def search_record(a1, a2):
     return v, v.nodes_processed, v.basis_sizes, bases
 
 
-def test_join_lifts_mixed_window_widths():
+def test_search_steps_mixed_window_widths():
     # Each automaton steps on its own window; lifting both to the common
     # width first changes no check, no count and no basis row.
     a = random_qfa(3, AB, 1, seed=5)
@@ -644,7 +644,7 @@ def test_mixed_k_decide_agrees_with_brute_force():
     assert fast.equivalent == slow.equivalent
 
 
-def test_eta_is_never_zero_for_valid_pairs():
+def test_start_row_is_never_zero_for_valid_pairs():
     for seed in range(5):
         a1 = random_qfa(2, AB, 1, seed=seed)
         a2 = random_qfa(2, AB, 1, seed=seed + 100)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qfaeq.qfa
 from qfaeq.io import parse_qfa, serialize_qfa
 from qfaeq.linalg import (
     CMatrix,
@@ -29,7 +30,14 @@ from qfaeq.qfa import (
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
-from reference import conj, mu_bar, norm_sq, rotation_qfa, row_step
+from reference import (
+    conj,
+    mu_bar,
+    narrow_by_peeling,
+    norm_sq,
+    rotation_qfa,
+    row_step,
+)
 
 def test_alphabet_rules():
     ab = Alphabet("ab")
@@ -388,6 +396,89 @@ def test_narrow_compares_padded_contexts():
     assert validate(a) == []
     assert _narrow(a) is a
     assert accept_prob(a, "a") != accept_prob(a, "b")
+
+
+def test_narrow_reads_each_context_once(monkeypatch):
+    # one walk over the width-5 contexts, one over the width-1 ones it
+    # keeps, and one automaton built
+    a = random_qfa(2, Alphabet("ab"), 1, seed=6)
+    wide = lift(a, 5)
+    built, read = [], []
+    iter_contexts = qfaeq.qfa._iter_contexts
+
+    class Counting(KLetterQFA):
+        def __post_init__(self):
+            built.append(self.k)
+            super().__post_init__()
+
+    def counting_contexts(alphabet, k):
+        for ctx in iter_contexts(alphabet, k):
+            read.append(ctx)
+            yield ctx
+
+    monkeypatch.setattr(qfaeq.qfa, "KLetterQFA", Counting)
+    monkeypatch.setattr(qfaeq.qfa, "_iter_contexts", counting_contexts)
+    narrowed = _narrow(wide)
+    assert built == [1]
+    assert len(read) <= len(wide.transitions) + len(a.transitions)
+    assert (narrowed.k, narrowed.transitions) == (1, a.transitions)
+
+
+def test_narrow_unary_grid():
+    # every context the identity but the one with i real letters, a swap:
+    # the contexts with i and i + 1 letters differ from their parents
+    k = 64
+    swap = CMatrix([[ZERO, ONE], [ONE, ZERO]])
+    contexts = reachable_contexts(Alphabet("a"), k)
+    for i in range(1, k + 1):
+        transitions = dict.fromkeys(contexts, CMatrix.identity(2))
+        transitions[contexts[i - 1]] = swap
+        a = KLetterQFA(2, Alphabet("a"), k, (ONE, ZERO), {1}, transitions)
+        narrowed = _narrow(a)
+        assert narrowed.k == min(k, i + 1)
+        assert lift(narrowed, k) == a
+        assert (narrowed is a) == (i + 1 >= k)
+
+
+def test_narrow_matches_peeling():
+    # lifts, parsed lifts, one-context twists and one-context gaps of
+    # seeded automata, narrowed in one pass and one letter at a time: equal
+    # by value, the same matrix objects, and returned as is by both or by
+    # neither
+    rng = random.Random(25)
+    cases = 0
+    for m in (1, 2, 3):
+        alphabet = Alphabet("abc"[:m])
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                a = random_qfa(n, alphabet, k, seed=rng.randrange(10**6))
+                for wide in range(k, k + 3):
+                    b = lift(a, wide)
+                    ctx = rng.choice(sorted(b.transitions))
+                    twist = random_unitary(n, rng)
+                    gap = dict(b.transitions)
+                    del gap[ctx]
+                    # a document holds one matrix object per context
+                    parsed = parse_qfa(serialize_qfa(b)).transitions
+                    for transitions in (
+                        b.transitions,
+                        parsed,
+                        {**b.transitions, ctx: twist},
+                        {**b.transitions, ctx: b.transitions[ctx] * twist},
+                        gap,
+                    ):
+                        c = KLetterQFA(
+                            n, alphabet, wide, a.initial, a.accepting, transitions
+                        )
+                        new, old = _narrow(c), narrow_by_peeling(c)
+                        assert new == old
+                        assert (new is c) == (old is c)
+                        assert all(
+                            new.transitions[key] is old.transitions[key]
+                            for key in old.transitions
+                        )
+                        cases += 1
+    assert cases == 405
 
 
 def test_norm_preserved_along_runs():

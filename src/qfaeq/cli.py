@@ -10,9 +10,10 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
     gen --states N --alphabet CSV --k K --seed S -o FILE
     bound FILE1 FILE2             print the paper's Theorem 4 depth
 
-``equiv`` reports its depth as ``bound_used``: the ``--max-len`` given, or
-else :func:`~qfaeq.equivalence.rank_bound` for either method at the larger
-effective width, the width the search runs at once lifts are undone.
+``equiv`` runs either method on the two automata as loaded and reports its
+depth as ``bound_used``: the ``--max-len`` given, or else
+:func:`~qfaeq.equivalence.rank_bound` at the larger effective width, the
+width the search runs at, which is also ``brute_force``'s default depth.
 ``bound`` prints the paper's larger :func:`~qfaeq.equivalence.theorem4_bound`.
 """
 
@@ -24,9 +25,9 @@ import sys
 import time
 
 from .equivalence import (
+    _search_depth,
     brute_force,
     decide,
-    rank_bound,
     require_shared_alphabet,
     theorem4_bound,
 )
@@ -35,7 +36,6 @@ from .qfa import (
     Alphabet,
     KLetterQFA,
     _length_past_cap,
-    _narrow,
     accept_prob,
     random_qfa,
 )
@@ -97,13 +97,9 @@ def _cmd_equiv(ns) -> int:
         raise QfaFormatError("--max-len: only --method bruteforce takes a depth cap")
     if ns.max_len is not None and ns.max_len < 0:
         raise QfaFormatError(f"--max-len: expected an integer >= 0, got {ns.max_len}")
-    # both methods check the narrowed automata's words, rows and
-    # probabilities, which are those of the automata as given
-    a1, a2 = map(_narrow, _load_two(ns.file1, ns.file2))
-    depth = ns.max_len
+    a1, a2 = _load_two(ns.file1, ns.file2)
+    depth = _search_depth(a1, a2) if ns.max_len is None else ns.max_len
     m = len(a1.alphabet)
-    if depth is None:
-        depth = rank_bound(a1.n, a2.n, m, max(a1.k, a2.k))
     if ns.method == "bruteforce":
         too_deep = _length_past_cap(m, _MAX_BRUTEFORCE_WORDS, depth, count=1)
         if too_deep is not None:

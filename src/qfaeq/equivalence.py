@@ -88,14 +88,20 @@ def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
     of lengths k - 1 .. L - 1, each inserted and so adding one to that rank.
     Two automata that agree on every word up to this length agree on all
     words, a rank argument in the style of Tzeng (SIAM J. Comput. 1992).
-    It is :func:`brute_force`'s default depth and the depth ``qfaeq equiv``
-    reports, and never exceeds :func:`theorem4_bound`.  It also holds with k
-    the larger effective width, the width :func:`decide` searches at after
+    It never exceeds :func:`theorem4_bound`, and it also holds with k the
+    larger effective width, the width :func:`decide` searches at after
     undoing lifts, which can be smaller than the declared one.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
     return (n1 * n1 + n2 * n2 - 1) * m ** (k - 1) + k - 1
+
+
+def _search_depth(a1: KLetterQFA, a2: KLetterQFA) -> int:
+    """:func:`rank_bound` at the larger effective width, the width that
+    :func:`decide` searches at; ``qfaeq equiv`` reports it as bound_used."""
+    k = max(_narrow(a1).k, _narrow(a2).k)
+    return rank_bound(a1.n, a2.n, len(a1.alphabet), k)
 
 
 class QueueItem(NamedTuple):
@@ -170,10 +176,10 @@ class Verdict:
     cap), and ``p1 != p2`` are those exact probabilities, read off the
     witness's two rows by :func:`~qfaeq.linalg.row_prob`.
 
-    ``nodes_processed`` is the count of the one word walk both run: every
-    word :func:`brute_force` compared, or the words of length k or more
-    :func:`basis_search` checked, for k the larger width it searched at
-    (for :func:`decide`, the effective one); ``basis_sizes`` maps each
+    ``nodes_processed`` counts the words checked, the witness included:
+    all of them for :func:`brute_force`, and those of length k or more for
+    :func:`basis_search`, k the larger width it searched at (for
+    :func:`decide`, the effective one); ``basis_sizes`` maps each
     suffix class, the last k-1 letters, seeded before the search ended to
     its basis size (``None`` for brute force).  Neither takes part in
     equality, so two verdicts are equal when they give the same answer.
@@ -187,11 +193,12 @@ class Verdict:
     basis_sizes: dict | None = field(default=None, compare=False)
 
 
-def _walk(a1: KLetterQFA, a2: KLetterQFA, grow: Callable) -> Verdict:
+def _walk(a1: KLetterQFA, a2: KLetterQFA, grow: Callable, least: int) -> Verdict:
     """The one loop of :func:`basis_search` and :func:`brute_force`: check
     words in word order, each made by :func:`extend` from its parent, until
     two acceptance probabilities differ, queueing a word's children only
-    when ``grow(item)`` is true; ``nodes_processed`` counts words checked."""
+    when ``grow(item)``; ``nodes_processed`` counts the checked words of
+    length ``least`` or more."""
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
@@ -201,7 +208,7 @@ def _walk(a1: KLetterQFA, a2: KLetterQFA, grow: Callable) -> Verdict:
     while queue:
         parent, sigma = queue.popleft()
         item = parent if sigma is None else extend(a1, a2, parent, sigma)
-        checked += 1
+        checked += len(item.word) >= least
         p1 = row_prob(item.v1, a1.accepting)
         p2 = row_prob(item.v2, a2.accepting)
         if p1 != p2:
@@ -217,9 +224,10 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
 
     Each automaton steps on its own window; the common width
     k = max(k1, k2) only names the suffix classes.  The search is the word
-    walk it shares with :func:`brute_force`, and differs only in which
-    words it extends.  A word shorter than k-1 heads no class and is always
-    extended.  From length k-1 on, the word's real row goes into the basis
+    walk it shares with :func:`brute_force`; it extends fewer words, and
+    its ``nodes_processed`` counts only those of length k or more.  A word
+    shorter than k-1 heads no class and is always extended.  From length
+    k-1 on, the word's real row goes into the basis
     of the class named by its last k-1 letters, and the word is extended
     only if the row was independent; a dependent row is discarded.  By the
     trace identity a discarded row's word can differ only if an earlier
@@ -240,14 +248,8 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
             bases.setdefault(item.word[length - k + 1 :], {}), real_row(item)
         )
 
-    verdict = _walk(a1, a2, grow)
-    # Words shorter than k-1 are always extended and the queue is FIFO, so
-    # every word shorter than k is checked before any longer one: those of
-    # length k or more are the words checked past the first 1 + ... + m^(k-1).
-    shorter = sum(len(a1.alphabet) ** j for j in range(k))
-    processed = max(0, verdict.nodes_processed - shorter)
-    sizes = {w: len(b) for w, b in bases.items()}
-    return replace(verdict, nodes_processed=processed, basis_sizes=sizes), bases
+    verdict = _walk(a1, a2, grow, k)
+    return replace(verdict, basis_sizes={w: len(b) for w, b in bases.items()}), bases
 
 
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
@@ -278,17 +280,16 @@ def brute_force(
 
     It runs :func:`basis_search`'s loop, with the same rows, test and
     witness, on the automata as given, but extends every word shorter than
-    the cap.  With the default cap, :func:`rank_bound` at the larger
-    effective width, the answer is definitive: past that length
-    :func:`basis_search` checks no word.  Enumeration is exponential in the
-    cap for alphabets of two or more symbols; this is a cross-check oracle
-    for small instances, not the production procedure.  The witness, if
+    the cap.  With the default cap, :func:`_search_depth`, the answer is
+    definitive: past that length :func:`basis_search` checks no word.
+    Enumeration is exponential in the cap for alphabets of two or more
+    symbols; this is a cross-check oracle for small instances, not the
+    production procedure.  The witness, if
     any, is the least differing word in word order.  A negative cap is a
     ValueError.
     """
     if max_len is None:
-        k = max(_narrow(a1).k, _narrow(a2).k)
-        max_len = rank_bound(a1.n, a2.n, len(a1.alphabet), k)
+        max_len = _search_depth(a1, a2)
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
-    return _walk(a1, a2, lambda item: len(item.word) < max_len)
+    return _walk(a1, a2, lambda item: len(item.word) < max_len, 0)

@@ -29,9 +29,9 @@ over its own, read straight into the integer form of
 covers) at most 8600, and the nonzero parts of one matrix, scaled to it,
 at most 1 100 800 together, so hostile input stops at a located error
 before any arithmetic on it.  The reader takes a matrix's parts in bulk:
-one pattern match over all of them joined, then one int call per
-numerator and per distinct denominator, the lcm taken over the distinct
-denominators.  Only when a bulk check fails does it walk the parts one by
+one int call and a capped lcm per distinct denominator, checked first,
+then one pattern match over all the parts joined and one int call per
+numerator.  Only when a bulk check fails does it walk the parts one by
 one in document order, to name the first problem; that walk builds no
 values.
 
@@ -182,18 +182,20 @@ def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
         text = ",".join([p if "/" in p else p + "/1" for p in parts])
     except TypeError:  # a part that is not a string
         text = ""
-    # a part that holds a comma adds one
-    if not _PARTS_RE.fullmatch(text) or text.count(",") != len(parts) - 1:
-        _raise_first_problem(rows, n, parts)
     pieces = text.replace(",", "/").split("/")
-    # each distinct denominator, read only while the lcm stays under its cap
+    # check and read each distinct denominator, under the lcm cap, before the match
     value = dict.fromkeys(pieces[1::2])
     den = 1
     for q in value:
+        if not (q.isascii() and q.isdigit() and len(q) <= _MAX_DIGITS):
+            _raise_first_problem(rows, n, parts)
         value[q] = int(q)
         den = lcm(den, value[q])  # 0 after a zero denominator
         if not den or den >= _MAX_DEN:
             _raise_first_problem(rows, n, parts)
+    # a part that holds a comma adds one
+    if not _PARTS_RE.fullmatch(text) or text.count(",") != len(parts) - 1:
+        _raise_first_problem(rows, n, parts)
     nums = list(map(int, pieces[::2]))
     dens = list(map(value.__getitem__, pieces[1::2]))
     if _scaled_digits(nums, dens, den) > _MAX_SCALED_DIGITS:

@@ -4,22 +4,26 @@ They form each product the plain way, entry by entry in GaussianRationals,
 and never call the package's integer kernel (``CMatrix.__mul__``,
 ``row_times_matrix``, ``is_unitary``) or its span basis (``span_insert``),
 so a bug in either cannot hide in both sides of a comparison.  The module
-also holds a second oracle for equivalence, :func:`weighted_sums`, and
-builds the automata, the search's start node and the hostile input that
+also holds two more oracles for equivalence: :func:`weighted_sums`, and
+:func:`backward_decide`, an exact decider from the accepting side with
+integer products and a Fraction elimination of its own.  It builds the
+automata, the search's start node and the hostile input that
 several tests share, the writer that serializes a document through the
 standard library's json encoder, and a narrowing that peels one letter
 at a time, :func:`narrow_by_peeling`.
 """
 
+import collections
 import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from qfaeq.equivalence import QueueItem
 from qfaeq.linalg import CMatrix, _scaled_row, start_row
 from qfaeq.qfa import (
+    LAMBDA,
     Alphabet,
     KLetterQFA,
     _check_word,
@@ -255,19 +259,205 @@ PHASES = (
 )
 
 
+def with_block(a: KLetterQFA, blocks: dict) -> KLetterQFA:
+    """The direct sum a + B for blocks, one d x d unitary per context of a.
+    The initial vector is (3/5 psi, 4/5, 0, ..., 0) and every block state
+    accepts, so every word is accepted with probability 9/25 P_a + 16/25,
+    whatever the blocks: the block's share of the state stays of norm 4/5.
+    Two different blocks give an equivalent pair that is not a
+    conjugation, even when their sizes differ."""
+    d = next(iter(blocks.values())).nrows
+    initial = (
+        *(Fraction(3, 5) * x for x in a.initial),
+        Fraction(4, 5),
+        *(0,) * (d - 1),
+    )
+    return direct_sum(a, blocks, initial, a.accepting | set(range(a.n, a.n + d)))
+
+
 def with_phase_block(a: KLetterQFA, shift: int) -> KLetterQFA:
-    """The direct sum a + C: a with one more state, the block C, whose
-    transition at the i-th context in sorted order is the phase
-    PHASES[i + shift].  The initial vector is (3/5 psi, 4/5) and the new
-    state accepts, so every word is accepted with probability
-    9/25 P_a + 16/25, whatever the phases.  Two shifts give an equivalent
-    pair that is not a conjugation: their transitions differ in spectrum."""
-    blocks = {
-        ctx: CMatrix([[PHASES[(i + shift) % len(PHASES)]]])
-        for i, ctx in enumerate(sorted(a.transitions))
-    }
-    initial = (*(Fraction(3, 5) * x for x in a.initial), Fraction(4, 5))
-    return direct_sum(a, blocks, initial, a.accepting | {a.n})
+    """:func:`with_block` with a 1 x 1 block whose transition at the i-th
+    context in sorted order is the phase PHASES[i + shift].  Two shifts
+    give an equivalent pair whose transitions differ in spectrum."""
+    return with_block(
+        a,
+        {
+            ctx: CMatrix([[PHASES[(i + shift) % len(PHASES)]]])
+            for i, ctx in enumerate(sorted(a.transitions))
+        },
+    )
+
+
+def _conjugate_by(t: CMatrix, x: tuple) -> tuple:
+    """T X T^dagger for a Hermitian X = (re + i*im)/s held as (s, re, im)
+    with integer rows, in the same form, T read off its integer form
+    (re + i*im)/den: the entries on and above the diagonal are summed, the
+    rest mirrored, and the result is reduced by one gcd."""
+    s, xr, xi = x
+    tr, ti = t.re, t.im
+    n = len(tr)
+    cols = list(zip(zip(*xr), zip(*xi)))
+    # the rows of T X
+    yr = [
+        [sum(a * c - b * d for a, b, c, d in zip(ar, ai, cr, ci)) for cr, ci in cols]
+        for ar, ai in zip(tr, ti)
+    ]
+    yi = [
+        [sum(a * d + b * c for a, b, c, d in zip(ar, ai, cr, ci)) for cr, ci in cols]
+        for ar, ai in zip(tr, ti)
+    ]
+    zr = [[0] * n for _ in range(n)]
+    zi = [[0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            # the sum over j of (T X)[p][j] * conj(T[q][j])
+            terms = list(zip(yr[p], yi[p], tr[q], ti[q]))
+            zr[p][q] = zr[q][p] = sum(a * c + b * d for a, b, c, d in terms)
+            zi[p][q] = sum(b * c - a * d for a, b, c, d in terms)
+            zi[q][p] = -zi[p][q]
+    scale = s * t.den * t.den
+    g = gcd(scale, *itertools.chain(*zr, *zi))
+    return (
+        scale // g,
+        [[v // g for v in row] for row in zr],
+        [[v // g for v in row] for row in zi],
+    )
+
+
+def _hermitian_coordinates(x: tuple) -> list:
+    """The diagonal of a Hermitian X = (s, re, im), then the real and
+    imaginary parts of each entry above it, as Fractions."""
+    s, xr, xi = x
+    n = len(xr)
+    coords = [Fraction(xr[p][p], s) for p in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            coords += (Fraction(xr[p][q], s), Fraction(xi[p][q], s))
+    return coords
+
+
+def _ket(a: KLetterQFA) -> tuple:
+    """a's initial vector as (e, pr, pi), the ket (pr + i*pi)/e with
+    integer parts."""
+    e = lcm(*(part.denominator for x in a.initial for part in (x.re, x.im)))
+    return e, [int(x.re * e) for x in a.initial], [int(x.im * e) for x in a.initial]
+
+
+def _projector(a: KLetterQFA) -> tuple:
+    """The projector onto a's accepting states, as (1, re, im)."""
+    n = a.n
+    re = [[int(p == q and p in a.accepting) for q in range(n)] for p in range(n)]
+    return 1, re, [[0] * n for _ in range(n)]
+
+
+def _expectation(psi: tuple, x: tuple) -> Fraction:
+    """psi^dagger X psi for a ket psi = (pr + i*pi)/e held as (e, pr, pi)
+    and X = (s, re, im): a real number."""
+    e, pr, pi = psi
+    s, xr, xi = x
+    total = 0
+    for a, b, rr, ri in zip(pr, pi, xr, xi):
+        for re, im, c, d in zip(rr, ri, pr, pi):
+            # the real part of conj(psi_p) * X[p][q] * psi_q
+            total += (a * re + b * im) * c - (a * im - b * re) * d
+    return Fraction(total, e * e * s)
+
+
+def _reduce_insert(basis: dict, row: list) -> bool:
+    """Add row to basis, a dict from pivot column to a row that is one at
+    its own pivot and zero at every other, keeping it so; False, and basis
+    unchanged, when row lies in its span."""
+    for col, b in basis.items():
+        c = row[col]
+        if c:
+            row = [x - c * y for x, y in zip(row, b)]
+    pivot = next((j for j, x in enumerate(row) if x), None)
+    if pivot is None:
+        return False
+    lead = row[pivot]
+    row = [x / lead for x in row]
+    for col, b in basis.items():
+        c = b[pivot]
+        if c:
+            basis[col] = [x - c * y for x, y in zip(b, row)]
+    basis[pivot] = row
+    return True
+
+
+def backward_decide(a1: KLetterQFA, a2: KLetterQFA):
+    """The least length of a word the two automata accept with different
+    probabilities, or None when they are equivalent: Tzeng's span argument
+    (SIAM J. Comput. 1992) run from the accepting side, sharing no code
+    with the forward search.
+
+    A class is a history c of k - 1 symbols, k = max(k1, k2), padded with
+    LAMBDA as contexts are; the run starts in class LAMBDA^(k-1).  The
+    observable of a word y read after c is O_c(y) = Tbar O Tbar^dagger
+    for the product Tbar of the transitions y steps through and the
+    accepting projector, taken in each automaton: O_c(empty) = (P1, P2)
+    and O_c(sigma y) = (T1 X1 T1^dagger, T2 X2 T2^dagger) for
+    (X1, X2) = O_c'(y), c' = (c sigma)[1:], Ti automaton i's transition at
+    the last ki symbols of c sigma.  A word y is then accepted with
+    probability psi_i^dagger Xi psi_i by automaton i from the start class.
+
+    Each observable is held as (s, re, im), the matrix (re + i*im)/s with
+    integer rows, and stepped with integer products.  Each class keeps a
+    fully reduced span of the real coordinates of its observables, as
+    Fractions, in breadth-first order of |y|.  An element of c' that is
+    new to its span yields sigma y with sigma = c'[-1] in each class
+    c = tau + c'[:-1]: tau is LAMBDA, or any letter when c' holds no
+    LAMBDA (the start class yields nothing; for k = 1 the one class yields
+    every letter).  A dependent element is a combination of kept ones no
+    longer than itself, and so is every later observable built from it,
+    so the first element of the start class whose two expectations differ
+    has the least witness length, and when none does the pair agrees on
+    every word.
+    """
+    k = max(a1.k, a2.k)
+    symbols = a1.alphabet.symbols
+    start = LAMBDA * (k - 1)
+    psi1, psi2 = _ket(a1), _ket(a2)
+
+    def differs(xs) -> bool:
+        return _expectation(psi1, xs[0]) != _expectation(psi2, xs[1])
+
+    def coordinates(xs) -> list:
+        return _hermitian_coordinates(xs[0]) + _hermitian_coordinates(xs[1])
+
+    observables = (_projector(a1), _projector(a2))
+    if differs(observables):
+        return 0
+    classes = [
+        LAMBDA * (k - 1 - j) + "".join(letters)
+        for j in range(k)
+        for letters in itertools.product(symbols, repeat=j)
+    ]
+    bases = {c: {} for c in classes}
+    queue = collections.deque()
+    for c in classes:
+        if _reduce_insert(bases[c], coordinates(observables)):
+            queue.append((c, 0, observables))
+    while queue:
+        # an element of class c' yields one in each class c before it
+        later, length, xs = queue.popleft()
+        if k == 1:
+            heads = [("", sigma) for sigma in symbols]
+        elif later[-1] == LAMBDA:
+            heads = []
+        else:
+            taus = [LAMBDA] if LAMBDA in later else [LAMBDA, *symbols]
+            heads = [(tau + later[:-1], later[-1]) for tau in taus]
+        for c, sigma in heads:
+            window = c + sigma
+            ys = tuple(
+                _conjugate_by(a.transitions[window[-a.k :]], x)
+                for a, x in zip((a1, a2), xs)
+            )
+            if c == start and differs(ys):
+                return length + 1
+            if _reduce_insert(bases[c], coordinates(ys)):
+                queue.append((c, length + 1, ys))
+    return None
 
 
 def coprime_denominators(count):

@@ -53,6 +53,7 @@ from qfaeq.scalars import GaussianRational
 
 from reference import (
     accept_positions,
+    backward_decide,
     conj,
     direct_sum,
     mu_bar,
@@ -62,6 +63,7 @@ from reference import (
     scale_initial,
     start_item,
     weighted_sums,
+    with_block,
     with_phase_block,
 )
 
@@ -618,3 +620,56 @@ def test_criterion_9_metamorphic_families(grid_runs, acceptance_report):
             renamed = decide(rename_letters(r.a1), rename_letters(r.a2))
             assert renamed == dataclasses.replace(v, witness=witness)
         assert {r.verdict.equivalent for r in sample} == {True, False}
+
+
+def accept_first(a):
+    """a with state 0 alone accepting, so that no transition is hidden
+    from the acceptance probabilities by an accepting set of all states
+    or none."""
+    return KLetterQFA(a.n, a.alphabet, a.k, a.initial, {0}, a.transitions)
+
+
+def random_block(a, d, seed):
+    """:func:`with_block` of a and a random d x d unitary per context:
+    accepted with probability 9/25 P_a + 16/25 on every word."""
+    rng = random.Random(seed)
+    return with_block(a, {ctx: random_unitary(d, rng) for ctx in sorted(a.transitions)})
+
+
+def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
+    # An exact decider that shares no code with the search, extend,
+    # row_prob or span_insert: it spans observables from the accepting
+    # side and returns the least witness length, so a fault in the word
+    # walk that decide and brute_force share moves only one side.  Pairs:
+    # every grid pair, width-w lifts twisted at the context of w last
+    # letters (witnesses of length w or more), and direct sums with random
+    # unitary blocks of sizes 1 and 2 or 2 and 2, equivalent without being
+    # conjugations.
+    runs, _ = grid_runs
+    pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs]
+    alphabet = Alphabet("ab")
+    for i, width in enumerate((3, 3, 4, 4)):
+        a = accept_first(random_qfa(2, alphabet, 1, 90000 + i))
+        b = twist_last_transition(lift(a, width), 90100 + i)
+        pairs.append((f"deep twist {width}", a, b, decide(a, b)))
+    for i, (d1, d2) in enumerate(((1, 2), (2, 2))):
+        a = accept_first(random_qfa(2, alphabet, 1, 91000 + i))
+        b1 = random_block(a, d1, 91100 + i)
+        b2 = random_block(a, d2, 91200 + i)
+        pairs.append(("block", b1, b2, decide(b1, b2)))
+    deep = 0
+    with criterion(
+        acceptance_report,
+        f"criterion 10: the backward span oracle agrees with decide on the "
+        f"verdict and witness length on {len(pairs)} pairs",
+    ):
+        for kind, a1, a2, v in pairs:
+            length = None if v.equivalent else len(v.witness)
+            assert backward_decide(a1, a2) == length, (kind, v)
+            if kind.startswith("deep twist") and length is not None:
+                assert length >= a2.k, (kind, v)
+                deep += 1
+            if kind == "block":
+                assert v.equivalent, v
+        assert deep > 0
+        assert {v.equivalent for _, _, _, v in pairs} == {True, False}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qfaeq
+import qfaeq.cli as cli
 from qfaeq.cli import cli_main
 from qfaeq.io import load_qfa, serialize_qfa
 from qfaeq.qfa import (
@@ -254,22 +255,36 @@ def test_equiv_bruteforce_word_cap(files, capsys, tmp_path):
     assert report["stats"]["nodes_processed"] == 8
 
 
-def test_equiv_depth_at_effective_width(capsys, tmp_path):
+def test_equiv_depth_at_effective_width(capsys, tmp_path, monkeypatch):
     # a width-5 lift of a width-1 automaton is searched at width 1, so the
     # default depth is the rank bound there, 7, not 116 at the declared
-    # width, whose 2^117 - 1 words bruteforce would refuse
+    # width, whose 2^117 - 1 words bruteforce would refuse.  Both methods
+    # get the automata as loaded, at their declared widths 1 and 5: decide
+    # narrows the lift itself, and brute_force walks the lift.
     a = random_qfa(2, Alphabet("ab"), 1, 3)
     pair = []
     for name, automaton in (("plain", a), ("lifted", lift(a, 5))):
         path = tmp_path / f"{name}.json"
         path.write_text(serialize_qfa(automaton))
         pair.append(str(path))
-    assert cli_main(["equiv", *pair, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["bound_used"] == 7
-    assert cli_main(["equiv", *pair, "--method", "bruteforce", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["bound_used"] == 7
-    assert report["stats"]["nodes_processed"] == 255
+    widths = []
+
+    def recorder(real):
+        def record(a1, a2, *rest):
+            widths.append((a1.k, a2.k))
+            return real(a1, a2, *rest)
+
+        return record
+
+    monkeypatch.setattr(cli, "decide", recorder(cli.decide))
+    monkeypatch.setattr(cli, "brute_force", recorder(cli.brute_force))
+    for method, nodes in (("algebraic", 8), ("bruteforce", 255)):
+        widths.clear()
+        assert cli_main(["equiv", *pair, "--method", method, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert widths == [(1, 5)]
+        assert report["bound_used"] == 7
+        assert report["stats"]["nodes_processed"] == nodes
 
 
 def test_equiv_wide_unary_lifts(capsys, tmp_path):

@@ -10,8 +10,8 @@ equivalent or valid, 1 means inequivalent, 2 means a usage or input error.
     gen --states N --alphabet CSV --k K --seed S -o FILE
     bound FILE1 FILE2             print the paper's Theorem 4 depth
 
-``equiv`` runs either method on the two automata as loaded and reports its
-depth as ``bound_used``: the ``--max-len`` given, or else
+``equiv`` runs either method on the two automata and reports its depth as
+``bound_used``: the ``--max-len`` given, or else
 :func:`~qfaeq.equivalence.rank_bound` at the larger effective width, the
 width the search runs at, which is also ``brute_force``'s default depth.
 ``bound`` prints the paper's larger :func:`~qfaeq.equivalence.theorem4_bound`.

@@ -28,14 +28,14 @@ holds more than n1^2 + n2^2 - 1 independent rows.
 
 Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
-suffix class, the last k-1 letters for k = max(k1, k2), visits only
-polynomially many words (see :func:`basis_search`), and no row outside the
-collected spans can introduce a new violation.  :func:`decide` first undoes
-lifts (:func:`~qfaeq.qfa._narrow`), so k is the larger effective width: an
-automaton whose transitions depend only on its last j letters counts as
-width j, whatever width it declares.  The search visits words in
-length-then-alphabet order and stops at the first word whose two
-acceptance probabilities, read off its rows by
+suffix class, the last k-1 letters for k the larger effective width,
+visits only polynomially many words (see :func:`basis_search`), and no row
+outside the collected spans can introduce a new violation.  An automaton
+whose transitions depend only on its last j letters has effective width j
+(:func:`~qfaeq.qfa._width`), whatever width it declares; it still steps on
+its declared window, whose matrices repeat the width-j ones.  The search
+visits words in length-then-alphabet order and stops at the first word
+whose two acceptance probabilities, read off its rows by
 :func:`~qfaeq.linalg.row_prob`, differ; that word is the least
 counterexample.  The trace identity above is why this test is enough: it
 makes P1 - P2 linear in the real row, so a discarded row, a combination
@@ -58,7 +58,7 @@ from .linalg import (
     span_insert,
     start_row,
 )
-from .qfa import KLetterQFA, _context_at, _narrow
+from .qfa import KLetterQFA, _context_at, _width
 
 __all__ = [
     "Verdict",
@@ -89,8 +89,8 @@ def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
     Two automata that agree on every word up to this length agree on all
     words, a rank argument in the style of Tzeng (SIAM J. Comput. 1992).
     It never exceeds :func:`theorem4_bound`, and it also holds with k the
-    larger effective width, the width :func:`decide` searches at after
-    undoing lifts, which can be smaller than the declared one.
+    larger effective width, the width the search runs at, which can be
+    smaller than the declared one.
     """
     if n1 < 1 or n2 < 1 or m < 1 or k < 1:
         raise ValueError("state counts, alphabet size, and k must be positive")
@@ -99,8 +99,9 @@ def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 def _search_depth(a1: KLetterQFA, a2: KLetterQFA) -> int:
     """:func:`rank_bound` at the larger effective width, the width that
-    :func:`decide` searches at; ``qfaeq equiv`` reports it as bound_used."""
-    k = max(_narrow(a1).k, _narrow(a2).k)
+    :func:`basis_search` names its classes at; ``qfaeq equiv`` reports it
+    as bound_used."""
+    k = max(_width(a1), _width(a2))
     return rank_bound(a1.n, a2.n, len(a1.alphabet), k)
 
 
@@ -178,11 +179,11 @@ class Verdict:
 
     ``nodes_processed`` counts the words checked, the witness included:
     all of them for :func:`brute_force`, and those of length k or more for
-    :func:`basis_search`, k the larger width it searched at (for
-    :func:`decide`, the effective one); ``basis_sizes`` maps each
-    suffix class, the last k-1 letters, seeded before the search ended to
-    its basis size (``None`` for brute force).  Neither takes part in
-    equality, so two verdicts are equal when they give the same answer.
+    :func:`basis_search`, k the larger effective width; ``basis_sizes``
+    maps each suffix class, the last k-1 letters, seeded before the search
+    ended to its basis size (``None`` for brute force).  Neither takes
+    part in equality, so two verdicts are equal when they give the same
+    answer.
     """
 
     equivalent: bool
@@ -222,24 +223,26 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
     """Collect a spanning set of rows per suffix class, or stop at the least
     counterexample; return the verdict and the bases.
 
-    Each automaton steps on its own window; the common width
-    k = max(k1, k2) only names the suffix classes.  The search is the word
-    walk it shares with :func:`brute_force`; it extends fewer words, and
-    its ``nodes_processed`` counts only those of length k or more.  A word
+    Each automaton steps on its own declared window; the larger effective
+    width k (:func:`~qfaeq.qfa._width`) only names the suffix classes, so a
+    lift is searched with the classes, rows and counts of the automaton it
+    was lifted from.  The search is the word walk it shares with
+    :func:`brute_force`; it extends fewer words, and its
+    ``nodes_processed`` counts only those of length k or more.  A word
     shorter than k-1 heads no class and is always extended.  From length
-    k-1 on, the word's real row goes into the basis
-    of the class named by its last k-1 letters, and the word is extended
-    only if the row was independent; a dependent row is discarded.  By the
-    trace identity a discarded row's word can differ only if an earlier
-    word of its class did, and when no word differs the row of every
-    unextended word lies in a span of rows with accepting sum zero, which
-    is why the search decides equivalence.
+    k-1 on, the word's real row goes into the basis of the class named by
+    its last k-1 letters, and the word is extended only if the row was
+    independent; a dependent row is discarded.  By the trace identity a
+    discarded row's word can differ only if an earlier word of its class
+    did, and when no word differs the row of every unextended word lies in
+    a span of rows with accepting sum zero, which is why the search
+    decides equivalence.
 
     The bases map each class seeded before the search ended to its fully
     reduced basis, a dict from pivot column to row (see
     :func:`~qfaeq.linalg.span_insert`).
     """
-    k = max(a1.k, a2.k)
+    k = max(_width(a1), _width(a2))
     bases = {}
 
     def grow(item: QueueItem) -> bool:
@@ -253,16 +256,13 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
 
 
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
-    """Polynomial-time equivalence decision via the suffix-class search.
+    """Polynomial-time equivalence decision: the verdict of
+    :func:`basis_search`.
 
     Exact throughout; the verdict carries the least witness word and both
     acceptance probabilities whenever the automata differ, and the search
-    counts either way.  The search runs on :func:`~qfaeq.qfa._narrow` of
-    each automaton, the least-width automaton that lifts back to it; it
-    steps the same matrices at every position and keeps the accepting
-    set, so its rows, and the probabilities read off them, are those of
-    the automata as given.  Its suffix classes are the last k-1 letters
-    for k the larger effective width.
+    counts either way.  Its suffix classes are the last k-1 letters for k
+    the larger effective width.
 
     ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
     both automata are well formed and within validate's caps of 64 states
@@ -270,7 +270,7 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
     :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
     """
-    return basis_search(_narrow(a1), _narrow(a2))[0]
+    return basis_search(a1, a2)[0]
 
 
 def brute_force(
@@ -279,13 +279,12 @@ def brute_force(
     """Compare acceptance probabilities on every word up to a length cap.
 
     It runs :func:`basis_search`'s loop, with the same rows, test and
-    witness, on the automata as given, but extends every word shorter than
-    the cap.  With the default cap, :func:`_search_depth`, the answer is
-    definitive: past that length :func:`basis_search` checks no word.
-    Enumeration is exponential in the cap for alphabets of two or more
-    symbols; this is a cross-check oracle for small instances, not the
-    production procedure.  The witness, if
-    any, is the least differing word in word order.  A negative cap is a
+    witness, but extends every word shorter than the cap.  With the
+    default cap, :func:`_search_depth`, the answer is definitive: past that
+    length :func:`basis_search` checks no word.  Enumeration is exponential
+    in the cap for alphabets of two or more symbols; this is a cross-check
+    oracle for small instances, not the production procedure.  The witness,
+    if any, is the least differing word in word order.  A negative cap is a
     ValueError.
     """
     if max_len is None:

@@ -10,9 +10,9 @@ indexed by the context
 
 Contexts that can actually occur are therefore the blank-padded proper
 prefixes plus every window of k real letters; transition tables are keyed by
-exactly that set.  A run left-multiplies the conjugated initial row vector by
-one unitary per position, and the acceptance probability is the squared norm
-of the accepting coordinates of the resulting row.
+exactly that set.  A run multiplies the conjugated initial row vector on the
+right by one unitary per position, v -> vT, and the acceptance probability
+is the squared norm of the accepting coordinates of the resulting row.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     characters; the trailing slice of a padded context is exactly the padded
     context the original automaton would see at the same position, so
     acceptance probabilities are preserved for every word.  A width with
-    more than 4096 contexts is a ValueError.  Its inverse is :func:`_narrow`:
-    ``lift(_narrow(a), a.k) == a`` for every well-formed a.
+    more than 4096 contexts is a ValueError.  :func:`_width` finds the least
+    width an automaton is a lift from.
     """
     if new_k < a.k:
         raise ValueError(f"cannot lift k={a.k} down to k={new_k}")
@@ -297,9 +297,9 @@ def lift(a: KLetterQFA, new_k: int) -> KLetterQFA:
     return KLetterQFA(a.n, a.alphabet, new_k, a.initial, a.accepting, transitions)
 
 
-def _narrow(a: KLetterQFA) -> KLetterQFA:
-    """The inverse of :func:`lift`: the automaton of the least width j whose
-    lift to a.k is a, or a itself when no j < a.k has one.
+def _width(a: KLetterQFA) -> int:
+    """The effective width of a: the least j such that a is the lift of a
+    width-j automaton, or a.k when a context is missing.
 
     Width j fits when every two contexts, padded ones included, that end in
     the same j characters have the same matrix (by value).  The parent of a
@@ -310,25 +310,17 @@ def _narrow(a: KLetterQFA) -> KLetterQFA:
     padded last j characters; and a context with i > j real letters shares
     its last i - 1 >= j characters with its parent.  So one pass that reads
     each context once finds the least width: the largest i at which some
-    context differs from its parent, or 1.  The narrowed automaton, built
-    once, keeps for each width-j context c the matrix object of
-    ``c.rjust(a.k, LAMBDA)``; a missing context returns a.
+    context differs from its parent, or 1.
     """
     width = 1
     for ctx in _iter_contexts(a.alphabet, a.k):
         m = a.transitions.get(ctx)
         if m is None:
-            return a
+            return a.k
         body = ctx.lstrip(LAMBDA)
         if len(body) > width and a.transitions[body[1:].rjust(a.k, LAMBDA)] != m:
             width = len(body)
-    if width >= a.k:
-        return a
-    transitions = {
-        ctx: a.transitions[ctx.rjust(a.k, LAMBDA)]
-        for ctx in _iter_contexts(a.alphabet, width)
-    }
-    return KLetterQFA(a.n, a.alphabet, width, a.initial, a.accepting, transitions)
+    return width
 
 
 # Unit-modulus building blocks for exactly unitary random matrices.  Scaled

@@ -225,11 +225,11 @@ def scale_initial(a: KLetterQFA, phase) -> KLetterQFA:
 
 
 def narrow_by_peeling(a: KLetterQFA) -> KLetterQFA:
-    """What :func:`~qfaeq.qfa._narrow` returns, found one width at a time:
-    while every context's matrix equals, by value, the first one stored
-    under its last k - 1 characters, drop the first character of every
-    context and build the narrower automaton; a missing context or a
-    mismatch returns the automaton reached so far."""
+    """The automaton of width :func:`~qfaeq.qfa._width` whose lift is a,
+    found one width at a time: while every context's matrix equals, by
+    value, the first one stored under its last k - 1 characters, drop the
+    first character of every context and build the narrower automaton; a
+    missing context or a mismatch returns the automaton reached so far."""
     while a.k > 1:
         transitions = {}
         for ctx in reachable_contexts(a.alphabet, a.k):

@@ -38,7 +38,7 @@ from qfaeq.linalg import (
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
-    _narrow,
+    _width,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -57,6 +57,7 @@ from reference import (
     conj,
     direct_sum,
     mu_bar,
+    narrow_by_peeling,
     norm_sq,
     position_weights,
     row_step,
@@ -528,9 +529,10 @@ def test_criterion_7_unitarity_and_lift(acceptance_report):
             wider = lift(a, k + 1)
             for word in iter_words(alphabet, 4):
                 assert accept_prob(wider, word) == accept_prob(a, word)
-            # the automaton decide searches in place of the lift
-            narrowed = _narrow(wider)
-            assert narrowed.k <= k and lift(narrowed, k + 1) == wider
+            # the automaton of the lift's effective width that lifts to it
+            narrowed = narrow_by_peeling(wider)
+            assert _width(wider) == narrowed.k <= k
+            assert lift(narrowed, k + 1) == wider
             for word in iter_words(alphabet, 6):
                 assert accept_prob(narrowed, word) == accept_prob(wider, word)
 
@@ -642,9 +644,10 @@ def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
     # side and returns the least witness length, so a fault in the word
     # walk that decide and brute_force share moves only one side.  Pairs:
     # every grid pair, width-w lifts twisted at the context of w last
-    # letters (witnesses of length w or more), and direct sums with random
-    # unitary blocks of sizes 1 and 2 or 2 and 2, equivalent without being
-    # conjugations.
+    # letters (witnesses of length w or more), and direct sums equivalent
+    # without being conjugations: criterion 8's phase-block pairs, and a
+    # grid of random unitary blocks of sizes 1 and 2, 2 and 2, or 2 and 3
+    # over one and two letters at widths 1 and 2.
     runs, _ = grid_runs
     pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs]
     alphabet = Alphabet("ab")
@@ -652,8 +655,20 @@ def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
         a = accept_first(random_qfa(2, alphabet, 1, 90000 + i))
         b = twist_last_transition(lift(a, width), 90100 + i)
         pairs.append((f"deep twist {width}", a, b, decide(a, b)))
-    for i, (d1, d2) in enumerate(((1, 2), (2, 2))):
-        a = accept_first(random_qfa(2, alphabet, 1, 91000 + i))
+    for n, k in ((3, 1), (4, 1), (3, 2)):
+        a = random_qfa(n - 1, alphabet, k, 7)
+        b1, b2 = with_phase_block(a, 0), with_phase_block(a, 1)
+        pairs.append(("phase block", b1, b2, decide(b1, b2)))
+    # sizes 2 and 3 at width 2 are left out: about a second per pair
+    blocks = [
+        (symbols, k, d1, d2)
+        for symbols in ("ab", "a")
+        for k in (1, 2)
+        for d1, d2 in ((1, 2), (2, 2), (2, 3))
+        if k == 1 or d2 < 3
+    ]
+    for i, (symbols, k, d1, d2) in enumerate(blocks):
+        a = accept_first(random_qfa(2, Alphabet(symbols), k, 91000 + i))
         b1 = random_block(a, d1, 91100 + i)
         b2 = random_block(a, d2, 91200 + i)
         pairs.append(("block", b1, b2, decide(b1, b2)))
@@ -669,7 +684,7 @@ def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
             if kind.startswith("deep twist") and length is not None:
                 assert length >= a2.k, (kind, v)
                 deep += 1
-            if kind == "block":
+            if kind.endswith("block"):
                 assert v.equivalent, v
         assert deep > 0
         assert {v.equivalent for _, _, _, v in pairs} == {True, False}

@@ -259,8 +259,8 @@ def test_equiv_depth_at_effective_width(capsys, tmp_path, monkeypatch):
     # a width-5 lift of a width-1 automaton is searched at width 1, so the
     # default depth is the rank bound there, 7, not 116 at the declared
     # width, whose 2^117 - 1 words bruteforce would refuse.  Both methods
-    # get the automata as loaded, at their declared widths 1 and 5: decide
-    # narrows the lift itself, and brute_force walks the lift.
+    # get the automata as loaded, at their declared widths 1 and 5, and
+    # find the lift's effective width themselves.
     a = random_qfa(2, Alphabet("ab"), 1, 3)
     pair = []
     for name, automaton in (("plain", a), ("lifted", lift(a, 5))):

@@ -18,7 +18,7 @@ from qfaeq.linalg import CMatrix, _row_vector, span_insert
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
-    _narrow,
+    _width,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -37,6 +37,7 @@ from reference import (
     in_span,
     matmul,
     mu_bar,
+    narrow_by_peeling,
     rotation_qfa,
     row_step,
     scale_initial,
@@ -233,18 +234,56 @@ def test_decide_searches_lifts_at_their_effective_width():
         assert (v.nodes_processed, v.basis_sizes) == (
             same.nodes_processed, same.basis_sizes
         )
-    # inequivalent pairs with a lift: the search narrows it, and the
-    # witness's probabilities, read off the narrowed rows, are those of the
-    # automata as given (seeds picked for a witness one letter long)
+    # inequivalent pairs with a lift: the search runs at the lift's
+    # effective width, and the witness's probabilities are those of the
+    # automata (seeds picked for a witness one letter long)
     for k, s1, s2 in [(1, 33, 25), (2, 25, 11)]:
         a1, a2 = random_qfa(2, AB, k, s1), lift(random_qfa(2, AB, k, s2), 3)
-        assert _narrow(a2).k == k
+        assert _width(a2) == k
         v = decide(a1, a2)
         assert v.witness == "a"
         assert v == brute_force(a1, a2, len(v.witness))
         assert (v.p1, v.p2) == (
             accept_prob(a1, v.witness), accept_prob(a2, v.witness)
         )
+
+
+def test_basis_search_names_classes_at_effective_width():
+    # a lift is searched with the classes of the automaton it was lifted
+    # from: against a lift of itself, in either order, an automaton gets
+    # the verdict, counts and bases it gets against itself
+    for m in (1, 2):
+        alphabet = Alphabet("ab"[:m])
+        for k in (1, 2):
+            a = random_qfa(2, alphabet, k, seed=70 + 10 * m + k)
+            same, same_bases = basis_search(a, a)
+            for wide in (k + 1, k + 2):
+                b = lift(a, wide)
+                for v, bases in (basis_search(a, b), basis_search(b, a)):
+                    assert v == same
+                    assert v.nodes_processed == same.nodes_processed
+                    assert v.basis_sizes == same.basis_sizes
+                    assert bases == same_bases
+
+
+def test_search_builds_no_automaton(monkeypatch):
+    # decide, basis_search and brute_force walk a width-5 lift as it is:
+    # sizing its classes and depth at width 1 builds no automaton
+    a = random_qfa(2, AB, 1, seed=6)
+    wide = lift(a, 5)
+    built = []
+    post_init = KLetterQFA.__post_init__
+
+    def counting(self):
+        built.append(self.k)
+        post_init(self)
+
+    monkeypatch.setattr(KLetterQFA, "__post_init__", counting)
+    assert decide(a, wide).nodes_processed == decide(a, a).nodes_processed
+    assert basis_search(wide, a)[0].equivalent
+    # the default depth is rank_bound(2, 2, 2, 1) = 7: 2^8 - 1 words
+    assert brute_force(a, wide).nodes_processed == 255
+    assert built == []
 
 
 def test_bilinear_identity_on_seeded_samples():
@@ -378,7 +417,8 @@ def test_basis_search_resource_bounds_and_order(monkeypatch):
             # sum to 0, so a class holds at most n1^2 + n2^2 - 1 rows;
             # searches that stop early keep within the same bounds
             d = b1.n**2 + b2.n**2 - 1
-            kk = max(b1.k, b2.k)
+            # the classes are named at the larger effective width
+            kk = max(narrow_by_peeling(b1).k, narrow_by_peeling(b2).k)
             sizes = [len(basis) for basis in bases.values()]
             assert v.basis_sizes == {w: len(b) for w, b in bases.items()}
             assert all(size <= d for size in sizes)
@@ -554,11 +594,11 @@ def test_brute_force_honors_max_len():
 def test_brute_force_default_depth_at_effective_width():
     # A lift keeps its behavior, so the default depth is sized at the width
     # decide searches at: rank_bound(2, 2, 1, 1) = 7, eight unary words,
-    # where the declared width 4 would give 10.  The lift is still walked
-    # as given, on its own width-4 matrices.
+    # where the declared width 4 would give 10.  The lift steps on its own
+    # width-4 matrices.
     rot = rotation_qfa()
     wide = lift(rot, 4)
-    assert wide.k == 4 and _narrow(wide).k == 1
+    assert wide.k == 4 and _width(wide) == 1
     v = brute_force(rot, wide)
     assert v.equivalent and v.nodes_processed == 8
     assert brute_force(wide, rot).nodes_processed == 8

@@ -17,7 +17,7 @@ from qfaeq.linalg import (
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
-    _narrow,
+    _width,
     accept_prob,
     always_accept_qfa,
     iter_words,
@@ -357,17 +357,20 @@ def test_lift_reuses_transition_matrices():
 
 
 def test_narrow_undoes_lift():
-    # the automaton lifted from comes back field for field: its width and,
-    # by value, its matrices keyed by its own contexts
+    # a lift has the width it was lifted from, and peeling gives back the
+    # automaton lifted from field for field: its width and, by value, its
+    # matrices keyed by its own contexts
     for m in (1, 2, 3):
         alphabet = Alphabet("abc"[:m])
         for k in (1, 2):
             a = random_qfa(2, alphabet, k, seed=10 * m + k)
-            assert _narrow(a) is a
+            assert _width(a) == narrow_by_peeling(a).k == k
             for wide in range(k + 1, 6):
-                assert _narrow(lift(a, wide)) == a
+                assert _width(lift(a, wide)) == k
+                assert narrow_by_peeling(lift(a, wide)) == a
             # a document holds one matrix object per context: equal by value
-            assert _narrow(parse_qfa(serialize_qfa(lift(a, 3)))) == a
+            parsed = parse_qfa(serialize_qfa(lift(a, 3)))
+            assert _width(parsed) == k and narrow_by_peeling(parsed) == a
 
 
 def test_narrow_keeps_genuine_width():
@@ -380,27 +383,27 @@ def test_narrow_keeps_genuine_width():
         last_letter_qfa(),
         KLetterQFA(2, lifted.alphabet, 3, lifted.initial, lifted.accepting, twisted),
     ]:
-        assert _narrow(a) is a
+        assert _width(a) == narrow_by_peeling(a).k == a.k
 
 
 def test_narrow_compares_padded_contexts():
-    # all-identity transitions narrow to width 1; once the padded "_a"
-    # differs from "aa" and "ba", which still agree, the width stays 2
+    # all-identity transitions have width 1; once the padded "_a" differs
+    # from "aa" and "ba", which still agree, the width stays 2
     swap = CMatrix([[ZERO, ONE], [ONE, ZERO]])
     eye = CMatrix.identity(2)
     transitions = dict.fromkeys(reachable_contexts(Alphabet("ab"), 2), eye)
     a = KLetterQFA(2, Alphabet("ab"), 2, (ONE, ZERO), {1}, transitions)
-    assert _narrow(a).transitions == {"a": eye, "b": eye}
+    assert _width(a) == 1
+    assert narrow_by_peeling(a).transitions == {"a": eye, "b": eye}
     transitions["_a"] = swap
     a = KLetterQFA(2, Alphabet("ab"), 2, (ONE, ZERO), {1}, transitions)
     assert validate(a) == []
-    assert _narrow(a) is a
+    assert _width(a) == narrow_by_peeling(a).k == 2
     assert accept_prob(a, "a") != accept_prob(a, "b")
 
 
 def test_narrow_reads_each_context_once(monkeypatch):
-    # one walk over the width-5 contexts, one over the width-1 ones it
-    # keeps, and one automaton built
+    # one walk over the width-5 contexts, and no automaton built
     a = random_qfa(2, Alphabet("ab"), 1, seed=6)
     wide = lift(a, 5)
     built, read = [], []
@@ -418,10 +421,9 @@ def test_narrow_reads_each_context_once(monkeypatch):
 
     monkeypatch.setattr(qfaeq.qfa, "KLetterQFA", Counting)
     monkeypatch.setattr(qfaeq.qfa, "_iter_contexts", counting_contexts)
-    narrowed = _narrow(wide)
-    assert built == [1]
-    assert len(read) <= len(wide.transitions) + len(a.transitions)
-    assert (narrowed.k, narrowed.transitions) == (1, a.transitions)
+    assert _width(wide) == 1
+    assert built == []
+    assert len(read) == len(wide.transitions)
 
 
 def test_narrow_unary_grid():
@@ -434,17 +436,15 @@ def test_narrow_unary_grid():
         transitions = dict.fromkeys(contexts, CMatrix.identity(2))
         transitions[contexts[i - 1]] = swap
         a = KLetterQFA(2, Alphabet("a"), k, (ONE, ZERO), {1}, transitions)
-        narrowed = _narrow(a)
-        assert narrowed.k == min(k, i + 1)
+        narrowed = narrow_by_peeling(a)
+        assert _width(a) == narrowed.k == min(k, i + 1)
         assert lift(narrowed, k) == a
-        assert (narrowed is a) == (i + 1 >= k)
 
 
 def test_narrow_matches_peeling():
     # lifts, parsed lifts, one-context twists and one-context gaps of
-    # seeded automata, narrowed in one pass and one letter at a time: equal
-    # by value, the same matrix objects, and returned as is by both or by
-    # neither
+    # seeded automata: the width found in one pass is the width peeling one
+    # letter at a time reaches
     rng = random.Random(25)
     cases = 0
     for m in (1, 2, 3):
@@ -470,13 +470,7 @@ def test_narrow_matches_peeling():
                         c = KLetterQFA(
                             n, alphabet, wide, a.initial, a.accepting, transitions
                         )
-                        new, old = _narrow(c), narrow_by_peeling(c)
-                        assert new == old
-                        assert (new is c) == (old is c)
-                        assert all(
-                            new.transitions[key] is old.transitions[key]
-                            for key in old.transitions
-                        )
+                        assert _width(c) == narrow_by_peeling(c).k
                         cases += 1
     assert cases == 405
 

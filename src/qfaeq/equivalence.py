@@ -39,13 +39,18 @@ whose two acceptance probabilities, read off its rows by
 :func:`~qfaeq.linalg.row_prob`, differ; that word is the least
 counterexample.  The trace identity above is why this test is enough: it
 makes P1 - P2 linear in the real row, so a discarded row, a combination
-of rows that all passed it, passes it too.  There is one loop:
-:func:`brute_force` walks the same words with the same test, but extends
-every word shorter than a length cap instead of collecting spans.
+of rows that all passed it, passes it too.  A word's real row is built,
+and put into its class's span, only when the word's children's turn
+comes, just before they are checked; so a search that stops at a witness
+does no span work for a word whose children would come after it.  There
+is one loop: :func:`brute_force` walks the same words with the same
+test, but extends every word shorter than a length cap instead of
+collecting spans.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -181,9 +186,11 @@ class Verdict:
     all of them for :func:`brute_force`, and those of length k or more for
     :func:`basis_search`, k the larger effective width; ``basis_sizes``
     maps each suffix class, the last k-1 letters, seeded before the search
-    ended to its basis size (``None`` for brute force).  Neither takes
-    part in equality, so two verdicts are equal when they give the same
-    answer.
+    ended to its basis size (``None`` for brute force).  A word is grown,
+    its row put into its class's basis, when its children's turn comes, so
+    an inequivalent verdict's ``basis_sizes`` lists the classes of the
+    words grown before the witness.  Neither count takes part in equality,
+    so two verdicts are equal when they give the same answer.
     """
 
     equivalent: bool
@@ -194,29 +201,40 @@ class Verdict:
     basis_sizes: dict | None = field(default=None, compare=False)
 
 
-def _walk(a1: KLetterQFA, a2: KLetterQFA, grow: Callable, least: int) -> Verdict:
+def _walk(
+    a1: KLetterQFA,
+    a2: KLetterQFA,
+    grow: Callable,
+    least: int,
+    cap: float = math.inf,
+) -> Verdict:
     """The one loop of :func:`basis_search` and :func:`brute_force`: check
     words in word order, each made by :func:`extend` from its parent, until
-    two acceptance probabilities differ, queueing a word's children only
-    when ``grow(item)``; ``nodes_processed`` counts the checked words of
-    length ``least`` or more."""
+    two acceptance probabilities differ.  The queue holds checked words
+    shorter than ``cap``; a word is grown when its children's turn comes:
+    ``grow(parent)`` runs as the parent leaves the queue, and only if it
+    holds are the children extended and checked, in letter order.  So no
+    word whose children would come after the witness is grown.
+    ``nodes_processed`` counts the checked words of length ``least`` or
+    more."""
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
-    start = QueueItem("", start_row(a1.initial), start_row(a2.initial))
     checked = 0
-    # pending words as (parent, last letter); the empty word is taken as is
-    queue = deque([(start, None)])
-    while queue:
-        parent, sigma = queue.popleft()
-        item = parent if sigma is None else extend(a1, a2, parent, sigma)
-        checked += len(item.word) >= least
-        p1 = row_prob(item.v1, a1.accepting)
-        p2 = row_prob(item.v2, a2.accepting)
-        if p1 != p2:
-            return Verdict(False, item.word, p1, p2, nodes_processed=checked)
-        if grow(item):
-            queue.extend((item, s) for s in symbols)
-    return Verdict(True, nodes_processed=checked)
+    queue = deque()
+    children = (QueueItem("", start_row(a1.initial), start_row(a2.initial)),)
+    while True:
+        for item in children:
+            checked += len(item.word) >= least
+            p1 = row_prob(item.v1, a1.accepting)
+            p2 = row_prob(item.v2, a2.accepting)
+            if p1 != p2:
+                return Verdict(False, item.word, p1, p2, nodes_processed=checked)
+            if len(item.word) < cap:
+                queue.append(item)
+        if not queue:
+            return Verdict(True, nodes_processed=checked)
+        parent = queue.popleft()
+        children = (extend(a1, a2, parent, s) for s in symbols) if grow(parent) else ()
 
 
 def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
@@ -230,16 +248,19 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
     :func:`brute_force`; it extends fewer words, and its
     ``nodes_processed`` counts only those of length k or more.  A word
     shorter than k-1 heads no class and is always extended.  From length
-    k-1 on, the word's real row goes into the basis of the class named by
-    its last k-1 letters, and the word is extended only if the row was
-    independent; a dependent row is discarded.  By the trace identity a
+    k-1 on, a word is grown when its children's turn comes: its real row
+    is built then and goes into the basis of the class named by its last
+    k-1 letters, and the word is extended only if the row was
+    independent; a dependent row is discarded.  A word whose children
+    would come after the witness is never grown.  By the trace identity a
     discarded row's word can differ only if an earlier word of its class
     did, and when no word differs the row of every unextended word lies in
     a span of rows with accepting sum zero, which is why the search
     decides equivalence.
 
-    The bases map each class seeded before the search ended to its fully
-    reduced basis, a dict from pivot column to row (see
+    The bases map each class seeded before the search ended, on a pair
+    that differs the classes of the words grown before the witness, to
+    its fully reduced basis, a dict from pivot column to row (see
     :func:`~qfaeq.linalg.span_insert`).
     """
     k = max(_width(a1), _width(a2))
@@ -291,4 +312,4 @@ def brute_force(
         max_len = _search_depth(a1, a2)
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
-    return _walk(a1, a2, lambda item: len(item.word) < max_len, 0)
+    return _walk(a1, a2, lambda item: True, 0, max_len)

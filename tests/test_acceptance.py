@@ -250,16 +250,27 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
                 # the empty word, so any witness has positive length
                 if not r.verdict.equivalent:
                     assert len(r.verdict.witness) >= 1
-        # two pins on the grid: the answers (every verdict, witness and
-        # probability), which no change to the search may move, and the
-        # search counts, which a change to the search updates on purpose
+        # pins on the grid: the answers (every verdict, witness and
+        # probability), which no change to the search may move; the words
+        # checked, and the counts and bases of the equivalent pairs, which
+        # only a change to the words visited or to the spans may move; and
+        # all the search counts, which a change to the search updates on
+        # purpose (the classes grown before a witness)
         verdicts = [r.verdict for r in runs]
         assert grid_digest(
             (v.equivalent, v.witness, v.p1, v.p2) for v in verdicts
         ) == "f6ff32b7ed61d5b5ed8248dcbb6b08256e35f59fc8748186216b5bba18966944"
         assert grid_digest(
+            v.nodes_processed for v in verdicts
+        ) == "2442e6404866046c3eb57ca717f95dffad76f0307d267d82a613f5b500942e20"
+        assert grid_digest(
+            (v.nodes_processed, sorted(v.basis_sizes.items()))
+            for v in verdicts
+            if v.equivalent
+        ) == "20994abc0efc5e2a60f1a6377e24c914f6f17e517020501b0f04bb948233b556"
+        assert grid_digest(
             (v.nodes_processed, sorted(v.basis_sizes.items())) for v in verdicts
-        ) == "0a7cbee5cf036e2247be10bfe8e9a32fcf1e0f656a5e5720c87cbf35ce1bf7e2"
+        ) == "58439b958e63127c0debe336d5b94982a825edce1ea1c35dda22bbed931e6163"
         # decide is basis_search read off; spot-check the pieces
         for r in runs[::24]:
             v, bases = basis_search(r.a1, r.a2)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,11 +16,13 @@ from qfaeq.cli import cli_main
 from qfaeq.io import load_qfa, serialize_qfa
 from qfaeq.qfa import (
     Alphabet,
+    KLetterQFA,
     accept_prob,
     always_accept_qfa,
     last_letter_qfa,
     lift,
     random_qfa,
+    random_unitary,
     validate,
 )
 from reference import coprime_denominators, rotation_qfa, scaled_size_document
@@ -253,6 +256,30 @@ def test_equiv_bruteforce_word_cap(files, capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["bound_used"] == 7
     assert report["stats"]["nodes_processed"] == 8
+
+
+def test_equiv_reports_no_class_grown_before_the_witness(capsys, tmp_path):
+    # the pair first differs at "b"; the search grows "a" only when the
+    # children of "a" would be checked, after "b", so it stops with no
+    # class seeded and prints no basis_sizes line
+    a = random_qfa(2, Alphabet("ab"), 2, 3)
+    twist = random_unitary(2, random.Random(3))
+    transitions = {**a.transitions, "_b": a.transitions["_b"] * twist}
+    b = KLetterQFA(a.n, a.alphabet, a.k, a.initial, a.accepting, transitions)
+    pair = []
+    for name, automaton in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_qfa(automaton))
+        pair.append(str(path))
+    assert cli_main(["equiv", *pair, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"] == "b"
+    assert report["stats"]["nodes_processed"] == 0
+    assert report["stats"]["basis_sizes"] == {}
+    assert cli_main(["equiv", *pair]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "witness: 'b'" in lines and "nodes_processed: 0" in lines
+    assert not any(line.startswith("basis_sizes:") for line in lines)
 
 
 def test_equiv_depth_at_effective_width(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -505,6 +506,76 @@ def test_basis_search_records_short_words():
     v, bases = basis_search(last_letter_qfa(), last_letter_qfa())
     assert v.witness is None
     assert sorted(bases) == ["a", "b"]
+
+
+def twisted_at_last_context(a, seed):
+    """a with the transition of its all-last-letter context multiplied by
+    a random unitary: it agrees with a on every word shorter than the
+    width."""
+    ctx = a.alphabet.symbols[-1] * a.k
+    twist = random_unitary(a.n, random.Random(seed))
+    transitions = {**a.transitions, ctx: a.transitions[ctx] * twist}
+    return KLetterQFA(a.n, a.alphabet, a.k, a.initial, a.accepting, transitions)
+
+
+def test_no_span_work_past_the_witness(monkeypatch):
+    # A word's real row is built when its children's turn comes, so on a
+    # pair that differs no row is built for a word as long as the witness.
+    lengths = []
+
+    def recording(item):
+        lengths.append(len(item.word))
+        return real_row(item)
+
+    def rows_built(a1, a2):
+        lengths.clear()
+        return decide(a1, a2), list(lengths)
+
+    monkeypatch.setattr(qfaeq.equivalence, "real_row", recording)
+    pairs = []
+    for i, width in enumerate((2, 3, 4, 4, 5)):
+        a = random_qfa(2, AB, 1, 90000 + i)
+        a = KLetterQFA(a.n, AB, 1, a.initial, {0}, a.transitions)
+        pairs.append((a, twisted_at_last_context(lift(a, width), 90100 + i)))
+    for n, k in itertools.product((2, 3), (1, 2)):
+        a = random_qfa(n, AB, k, 300 + 10 * n + k)
+        pairs.append((a, twisted_at_last_context(a, 400 + 10 * n + k)))
+    runs = [rows_built(a1, a2) for a1, a2 in pairs]
+    differ = [(v, built) for v, built in runs if not v.equivalent]
+    # every deep twist differs, and most twists do
+    assert not any(v.equivalent for v, _ in runs[:5]) and len(differ) >= 7
+    for v, built in differ:
+        assert all(length < len(v.witness) for length in built), v
+    # the first width-4 deep twist differs at "bbbb" after 8 rows, the
+    # longest of length 3; growing each word as it is checked builds 23
+    v, built = runs[2]
+    assert (v.witness, len(built), max(built)) == ("bbbb", 8, 3)
+    # an equivalent pair grows every checked word: one row per word of
+    # length k-1, and one per word counted from length k on
+    for m, k in itertools.product((1, 2), (1, 2, 3)):
+        alphabet = Alphabet("ab"[:m])
+        a = random_qfa(2, alphabet, k, 500 + 10 * m + k)
+        for b in (a, lift(a, k + 1), scale_initial(a, GaussianRational(0, 1))):
+            v, built = rows_built(a, b)
+            assert v.equivalent
+            assert len(built) == v.nodes_processed + m ** (_width(a) - 1)
+
+
+def test_brute_force_queues_no_word_at_its_cap(monkeypatch):
+    # a word at the length cap is checked but never queued, so the queue
+    # holds at most the level below the cap
+    queued = []
+
+    class RecordingDeque(collections.deque):
+        def popleft(self):
+            item = super().popleft()
+            queued.append(len(item.word))
+            return item
+
+    monkeypatch.setattr(qfaeq.equivalence, "deque", RecordingDeque)
+    a = random_qfa(2, AB, 1, seed=6)
+    assert brute_force(a, a, 4).nodes_processed == 31
+    assert max(queued) == 3 and len(queued) == 15
 
 
 def test_decide_agrees_with_brute_force_small_grid():

@@ -63,7 +63,7 @@ from .linalg import (
     span_insert,
     start_row,
 )
-from .qfa import KLetterQFA, _context_at, _width
+from .qfa import KLetterQFA, _width, _window
 
 __all__ = [
     "Verdict",
@@ -80,10 +80,12 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
     n = n1 + n2: automata with n1 and n2 states over an m-symbol alphabet
     and window width k that agree on every word of length below this bound
     agree on all words.  It is a sufficient depth, not the least one:
-    :func:`rank_bound`, the sharper depth the program runs, plus the cross
-    term 2 n1 n2 m^(k-1) of n^2, plus one.
+    :func:`rank_bound` is the sharper depth the program runs.
     """
-    return rank_bound(n1, n2, m, k) + 2 * n1 * n2 * m ** (k - 1) + 1
+    if n1 < 1 or n2 < 1 or m < 1 or k < 1:
+        raise ValueError("state counts, alphabet size, and k must be positive")
+    n = n1 + n2
+    return (n * n - 1) * m ** (k - 1) + k
 
 
 def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
@@ -140,11 +142,10 @@ def extend(
     of its own automaton at the window ending in that letter: one integer
     :func:`~qfaeq.linalg.row_times_matrix` per row."""
     word = item.word + sigma
-    i = len(word)
     return QueueItem(
         word,
-        row_times_matrix(item.v1, a1.transitions[_context_at(a1.k, word, i)]),
-        row_times_matrix(item.v2, a2.transitions[_context_at(a2.k, word, i)]),
+        row_times_matrix(item.v1, a1.transitions[_window(word, a1.k)]),
+        row_times_matrix(item.v2, a2.transitions[_window(word, a2.k)]),
     )
 
 

@@ -305,11 +305,12 @@ def parse_qfa(text: str) -> KLetterQFA:
             raise QfaFormatError(f"{where}: expected {n} matrix rows")
         rows = [(f"{where}[{r}]", row) for r, row in enumerate(matrix)]
         transitions[key] = CMatrix._from_ints(*_read_rows(rows, n))
-    # Every well-shaped key is a reachable context, so if any context is
-    # absent, one of the first len(transitions) + 1 in context order is.
-    # Looking no further keeps a short document with a large k from
-    # enumerating all m + ... + m**k contexts; with no key at all, even the
-    # first context (k characters) is not bounded by the document's size.
+    # Every well-shaped key is a reachable context (_context_shape_ok), so
+    # if any context is absent, one of the first len(transitions) + 1 in
+    # context order is.  Looking no further keeps a short document with a
+    # large k from enumerating all m + ... + m**k contexts; with no key at
+    # all, even the first context (k characters) is not bounded by the
+    # document's size.
     if not transitions:
         raise QfaFormatError("transitions: expected one matrix per context, found none")
     for ctx in itertools.islice(_iter_contexts(alphabet, k), len(transitions) + 1):

@@ -27,7 +27,6 @@ from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
     _check_word,
-    _context_at,
     reachable_contexts,
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce, _ratio_text
@@ -91,7 +90,7 @@ def mu_bar(a: KLetterQFA, word: str) -> CMatrix:
     _check_word(a, word)
     m = CMatrix([[ONE if i == j else ZERO for j in range(a.n)] for i in range(a.n)])
     for i in range(1, len(word) + 1):
-        m = matmul(m, a.transitions[_context_at(a.k, word, i)])
+        m = matmul(m, a.transitions[(LAMBDA * a.k + word[:i])[-a.k :]])
     return m
 
 

@@ -8,14 +8,17 @@ summary hook in conftest so they appear regardless of output capture.
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -649,7 +652,25 @@ def random_block(a, d, seed):
     return with_block(a, {ctx: random_unitary(d, rng) for ctx in sorted(a.transitions)})
 
 
-def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
+def benchmark_decide_round(monkeypatch, tmp_path):
+    """The (label, a1, a2) of round 0 of the benchmark's `decide`
+    operations at seed 1, built by perfbench/workloads.py, which is loaded
+    from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    ops, _ = workloads.operations(
+        "decide", workloads.generate("decide", 1, tmp_path)
+    )
+    return [(op.label, op.a1, op.a2) for op in ops if op.round == 0]
+
+
+def test_criterion_10_backward_oracle(
+    grid_runs, acceptance_report, monkeypatch, tmp_path
+):
     # An exact decider that shares no code with the search, extend,
     # row_prob or span_insert: it spans observables from the accepting
     # side and returns the least witness length, so a fault in the word
@@ -658,7 +679,8 @@ def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
     # letters (witnesses of length w or more), and direct sums equivalent
     # without being conjugations: criterion 8's phase-block pairs, and a
     # grid of random unitary blocks of sizes 1 and 2, 2 and 2, or 2 and 3
-    # over one and two letters at widths 1 and 2.
+    # over one and two letters at widths 1 and 2.  Then one round of the
+    # benchmark's own `decide` operations, one pair of each shape.
     runs, _ = grid_runs
     pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs]
     alphabet = Alphabet("ab")
@@ -683,13 +705,19 @@ def test_criterion_10_backward_oracle(grid_runs, acceptance_report):
         b1 = random_block(a, d1, 91100 + i)
         b2 = random_block(a, d2, 91200 + i)
         pairs.append(("block", b1, b2, decide(b1, b2)))
+    bench = [
+        (f"benchmark {label}", a1, a2, decide(a1, a2))
+        for label, a1, a2 in benchmark_decide_round(monkeypatch, tmp_path)
+    ]
     deep = 0
     with criterion(
         acceptance_report,
         f"criterion 10: the backward span oracle agrees with decide on the "
-        f"verdict and witness length on {len(pairs)} pairs",
+        f"verdict and witness length on {len(pairs)} pairs and "
+        f"{len(bench)} benchmark decide operations",
     ):
-        for kind, a1, a2, v in pairs:
+        assert {v.equivalent for _, _, _, v in bench} == {True, False}
+        for kind, a1, a2, v in pairs + bench:
             length = None if v.equivalent else len(v.witness)
             assert backward_decide(a1, a2) == length, (kind, v)
             if kind.startswith("deep twist") and length is not None:

@@ -438,11 +438,12 @@ def test_no_arguments_exits_2(capsys):
 
 
 def _assert_help_runs(command):
-    # The child imports the same qfaeq package as this test process.
+    # The child imports the same qfaeq package as this test process, and
+    # any warning in it is an error.
     package_root = str(Path(qfaeq.__file__).resolve().parents[1])
     result = subprocess.run(
         [*command, "--help"], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=package_root),
+        env=dict(os.environ, PYTHONPATH=package_root, PYTHONWARNINGS="error"),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: qfaeq")

@@ -16,11 +16,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def run_fresh(args):
     """Run a Python interpreter that imports the same qfaeq package as this
-    test process."""
+    test process, with every warning an error in it and in its children."""
     package_root = str(Path(qfaeq.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=package_root),
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=package_root, PYTHONWARNINGS="error"),
     )
 
 

@@ -103,6 +103,15 @@ def test_theorem4_bound_spot_values():
         theorem4_bound(2, 2, 2, 0)
 
 
+def test_theorem4_bound_is_rank_bound_plus_cross_term():
+    # n^2 m^(k-1) - m^(k-1) + k with n = n1 + n2 splits into the rank
+    # bound, the cross term 2 n1 n2 m^(k-1) of n^2, and one
+    sizes = range(1, 5)
+    for n1, n2, m, k in itertools.product(sizes, sizes, range(1, 4), sizes):
+        cross = 2 * n1 * n2 * m ** (k - 1)
+        assert theorem4_bound(n1, n2, m, k) == rank_bound(n1, n2, m, k) + cross + 1
+
+
 def test_rank_bound_spot_values():
     # R + k - 1 with R = (n1^2 + n2^2 - 1) * m^(k-1)
     assert rank_bound(2, 2, 2, 2) == 15

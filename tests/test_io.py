@@ -257,6 +257,21 @@ def test_missing_context_detected():
         parse_doc(wide)
 
 
+def test_key_under_huge_width_is_malformed():
+    # a key is compared with the declared width, never padded out to it
+    doc = {
+        "format_version": 1,
+        "k": 10**30,
+        "alphabet": ["a"],
+        "states": 1,
+        "initial": [["1/1", "0/1"]],
+        "accepting": [0],
+        "transitions": {"a": [[["1/1", "0/1"]]]},
+    }
+    with pytest.raises(QfaFormatError, match="^transitions: malformed context 'a'$"):
+        parse_doc(doc)
+
+
 def test_initial_norm_violation():
     doc = base_document()
     doc["initial"] = [["1", "0"], ["1", "0"]]

@@ -99,7 +99,7 @@ def test_multiplication_associates(seed):
 
 @settings(max_examples=25)
 @given(st.integers(0, 10**6))
-def test_dagger_reverses_products(seed):
+def test_adjoint_reverses_products(seed):
     rng = random.Random(seed)
     a = random_matrix(rng, 2, 3)
     b = random_matrix(rng, 3, 2)
@@ -218,7 +218,7 @@ def test_span_insert_updates_in_place():
     assert all(type(x) is not float for row in basis.values() for x in row)
 
 
-def test_contains_detects_linear_combinations():
+def test_in_span_detects_linear_combinations():
     v1 = [Fraction(1), Fraction(2), Fraction(0)]
     v2 = [Fraction(0), Fraction(1), Fraction(1)]
     basis = {}

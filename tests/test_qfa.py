@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from qfaeq.linalg import (
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
+    _context_shape_ok,
     _width,
     accept_prob,
     always_accept_qfa,
@@ -213,6 +215,30 @@ def test_validate_missing_and_extra_contexts():
     assert any("malformed context '_aa'" in p for p in problems)
 
 
+def test_context_shape_is_reachability():
+    # a key has the shape of a window exactly when a run can step on it,
+    # which the reader's early check for missing contexts relies on
+    alphabet = Alphabet("ab")
+    for k in (1, 2, 3):
+        reachable = set(reachable_contexts(alphabet, k))
+        for length in range(k + 2):
+            for chars in itertools.product("ab_", repeat=length):
+                s = "".join(chars)
+                assert _context_shape_ok(s, alphabet, k) == (s in reachable), s
+
+
+def test_validate_reports_every_extra_key_as_malformed():
+    a = random_qfa(2, Alphabet("ab"), 1, seed=3)
+    for key in ("_c", "ba", "_", "", 0, ("a",)):
+        extra = dict(a.transitions)
+        extra[key] = CMatrix.identity(2)
+        problems = validate(
+            KLetterQFA(2, a.alphabet, 1, a.initial, a.accepting, extra)
+        )
+        assert problems == [f"malformed context {key!r}"]
+        assert not any("unexpected" in p for p in problems)
+
+
 def test_validate_accepting_out_of_range():
     a = rotation_qfa()
     bad = KLetterQFA(2, a.alphabet, 1, a.initial, frozenset({5}), a.transitions)
@@ -356,7 +382,7 @@ def test_lift_reuses_transition_matrices():
     assert wider.transitions["__a"] is a.transitions["_a"]
 
 
-def test_narrow_undoes_lift():
+def test_width_undoes_lift():
     # a lift has the width it was lifted from, and peeling gives back the
     # automaton lifted from field for field: its width and, by value, its
     # matrices keyed by its own contexts
@@ -373,7 +399,7 @@ def test_narrow_undoes_lift():
             assert _width(parsed) == k and narrow_by_peeling(parsed) == a
 
 
-def test_narrow_keeps_genuine_width():
+def test_width_keeps_genuine_width():
     # a lift with its last context changed differs from the lift there only
     lifted = lift(random_qfa(2, Alphabet("ab"), 1, seed=4), 3)
     twisted = dict(lifted.transitions, bbb=random_unitary(2, random.Random(4)))
@@ -386,7 +412,7 @@ def test_narrow_keeps_genuine_width():
         assert _width(a) == narrow_by_peeling(a).k == a.k
 
 
-def test_narrow_compares_padded_contexts():
+def test_width_compares_padded_contexts():
     # all-identity transitions have width 1; once the padded "_a" differs
     # from "aa" and "ba", which still agree, the width stays 2
     swap = CMatrix([[ZERO, ONE], [ONE, ZERO]])
@@ -402,7 +428,7 @@ def test_narrow_compares_padded_contexts():
     assert accept_prob(a, "a") != accept_prob(a, "b")
 
 
-def test_narrow_reads_each_context_once(monkeypatch):
+def test_width_reads_each_context_once(monkeypatch):
     # one walk over the width-5 contexts, and no automaton built
     a = random_qfa(2, Alphabet("ab"), 1, seed=6)
     wide = lift(a, 5)
@@ -426,7 +452,7 @@ def test_narrow_reads_each_context_once(monkeypatch):
     assert len(read) == len(wide.transitions)
 
 
-def test_narrow_unary_grid():
+def test_width_unary_grid():
     # every context the identity but the one with i real letters, a swap:
     # the contexts with i and i + 1 letters differ from their parents
     k = 64
@@ -441,7 +467,7 @@ def test_narrow_unary_grid():
         assert lift(narrowed, k) == a
 
 
-def test_narrow_matches_peeling():
+def test_width_matches_peeling():
     # lifts, parsed lifts, one-context twists and one-context gaps of
     # seeded automata: the width found in one pass is the width peeling one
     # letter at a time reaches

@@ -35,17 +35,20 @@ whose transitions depend only on its last j letters has effective width j
 (:func:`~qfaeq.qfa._width`), whatever width it declares; it still steps on
 its declared window, whose matrices repeat the width-j ones.  The search
 visits words in length-then-alphabet order and stops at the first word
-whose two acceptance probabilities, read off its rows by
-:func:`~qfaeq.linalg.row_prob`, differ; that word is the least
-counterexample.  The trace identity above is why this test is enough: it
-makes P1 - P2 linear in the real row, so a discarded row, a combination
-of rows that all passed it, passes it too.  A word's real row is built,
-and put into its class's span, only when the word's children's turn
-comes, just before they are checked; so a search that stops at a witness
-does no span work for a word whose children would come after it.  There
-is one loop: :func:`brute_force` walks the same words with the same
-test, but extends every word shorter than a length cap instead of
-collecting spans.
+whose two acceptance probabilities, read off its rows in integers
+(:func:`_differ`), differ; that word is the least counterexample.  The
+trace identity above is why this test is enough: it makes P1 - P2 linear
+in the real row, so a discarded row, a combination of rows that all
+passed it, passes it too.  A word is grown, its real row put into its
+class's span, only when the word's children's turn comes, just before
+they are checked; so a search that stops at a witness does no span work
+for a word whose children would come after it.  A class's first row,
+its block-1 diagonal summing to 1 by the trace identity, is never in the
+empty span, so it is built only when a second word of the class is
+grown, or when :func:`basis_search` returns its bases; an inequivalent
+verdict counts a class with one grown word as size 1.  There is one
+loop: :func:`brute_force` walks the same words with the same test, but
+extends every word shorter than a length cap instead of collecting spans.
 """
 
 from __future__ import annotations
@@ -190,8 +193,10 @@ class Verdict:
     ended to its basis size (``None`` for brute force).  A word is grown,
     its row put into its class's basis, when its children's turn comes, so
     an inequivalent verdict's ``basis_sizes`` lists the classes of the
-    words grown before the witness.  Neither count takes part in equality,
-    so two verdicts are equal when they give the same answer.
+    words grown before the witness, and counts a class with one grown word
+    as size 1: its row is independent, and built only if a second word of
+    the class is grown.  Neither count takes part in equality, so two
+    verdicts are equal when they give the same answer.
     """
 
     equivalent: bool
@@ -200,6 +205,18 @@ class Verdict:
     p2: Fraction | None = None
     nodes_processed: int = field(default=0, compare=False)
     basis_sizes: dict | None = field(default=None, compare=False)
+
+
+def _differ(v1: tuple, v2: tuple, acc1: frozenset, acc2: frozenset) -> bool:
+    """``row_prob(v1, acc1) != row_prob(v2, acc2)`` without a Fraction: a
+    row (s, re, im) accepts with probability N / s^2 for N the sum of
+    re^2 + im^2 over its accepting positions, so the two differ exactly
+    when N1 * s2^2 != N2 * s1^2."""
+    s1, re1, im1 = v1
+    s2, re2, im2 = v2
+    n1 = sum(re1[q] * re1[q] + im1[q] * im1[q] for q in acc1)
+    n2 = sum(re2[q] * re2[q] + im2[q] * im2[q] for q in acc2)
+    return n1 * s2 * s2 != n2 * s1 * s1
 
 
 def _walk(
@@ -215,20 +232,22 @@ def _walk(
     shorter than ``cap``; a word is grown when its children's turn comes:
     ``grow(parent)`` runs as the parent leaves the queue, and only if it
     holds are the children extended and checked, in letter order.  So no
-    word whose children would come after the witness is grown.
-    ``nodes_processed`` counts the checked words of length ``least`` or
-    more."""
+    word whose children would come after the witness is grown.  Each word
+    is checked in integers by :func:`_differ`; only the witness's two
+    probabilities are made as Fractions, by
+    :func:`~qfaeq.linalg.row_prob`.  ``nodes_processed`` counts the
+    checked words of length ``least`` or more."""
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
+    acc1, acc2 = a1.accepting, a2.accepting
     checked = 0
     queue = deque()
     children = (QueueItem("", start_row(a1.initial), start_row(a2.initial)),)
     while True:
         for item in children:
             checked += len(item.word) >= least
-            p1 = row_prob(item.v1, a1.accepting)
-            p2 = row_prob(item.v2, a2.accepting)
-            if p1 != p2:
+            if _differ(item.v1, item.v2, acc1, acc2):
+                p1, p2 = row_prob(item.v1, acc1), row_prob(item.v2, acc2)
                 return Verdict(False, item.word, p1, p2, nodes_processed=checked)
             if len(item.word) < cap:
                 queue.append(item)
@@ -236,6 +255,40 @@ def _walk(
             return Verdict(True, nodes_processed=checked)
         parent = queue.popleft()
         children = (extend(a1, a2, parent, s) for s in symbols) if grow(parent) else ()
+
+
+def _first_basis(item: QueueItem) -> dict:
+    """The basis of a class whose one row so far is item's.  The row is
+    independent of the empty span: by the trace identity its block-1
+    diagonal sums to 1."""
+    basis = {}
+    span_insert(basis, real_row(item))
+    return basis
+
+
+def _search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
+    """The walk of :func:`basis_search` and :func:`decide`, with its one
+    grow rule: the verdict, counts included, and the classes, each mapped
+    to its basis or, while one word of the class has been grown, to that
+    word's :class:`QueueItem`, whose row is not built yet."""
+    k = max(_width(a1), _width(a2))
+    classes = {}
+
+    def grow(item: QueueItem) -> bool:
+        length = len(item.word)
+        if length < k - 1:
+            return True
+        c = item.word[length - k + 1 :]
+        basis = classes.setdefault(c, item)
+        if basis is item:
+            return True
+        if type(basis) is QueueItem:
+            basis = classes[c] = _first_basis(basis)
+        return span_insert(basis, real_row(item))
+
+    verdict = _walk(a1, a2, grow, k)
+    sizes = {c: 1 if type(b) is QueueItem else len(b) for c, b in classes.items()}
+    return replace(verdict, basis_sizes=sizes), classes
 
 
 def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
@@ -249,10 +302,14 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
     :func:`brute_force`; it extends fewer words, and its
     ``nodes_processed`` counts only those of length k or more.  A word
     shorter than k-1 heads no class and is always extended.  From length
-    k-1 on, a word is grown when its children's turn comes: its real row
-    is built then and goes into the basis of the class named by its last
-    k-1 letters, and the word is extended only if the row was
-    independent; a dependent row is discarded.  A word whose children
+    k-1 on, a word is grown when its children's turn comes: it goes into
+    the class named by its last k-1 letters, and the word is extended only
+    if its real row was independent of the class's basis; a dependent row
+    is discarded.  The first word of a class is always extended, its row
+    being independent by the trace identity, and that row is built only
+    when a second word of the class is grown: it is inserted, then the
+    second row is tested, so each basis sees the same rows in the same
+    order as if every row were built on growing.  A word whose children
     would come after the witness is never grown.  By the trace identity a
     discarded row's word can differ only if an earlier word of its class
     did, and when no word differs the row of every unextended word lies in
@@ -262,24 +319,20 @@ def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
     The bases map each class seeded before the search ended, on a pair
     that differs the classes of the words grown before the witness, to
     its fully reduced basis, a dict from pivot column to row (see
-    :func:`~qfaeq.linalg.span_insert`).
+    :func:`~qfaeq.linalg.span_insert`); the first rows still unbuilt when
+    the walk stops are built before it returns.  The verdict's
+    ``basis_sizes`` counts such a class as 1.
     """
-    k = max(_width(a1), _width(a2))
-    bases = {}
-
-    def grow(item: QueueItem) -> bool:
-        length = len(item.word)
-        return length < k - 1 or span_insert(
-            bases.setdefault(item.word[length - k + 1 :], {}), real_row(item)
-        )
-
-    verdict = _walk(a1, a2, grow, k)
-    return replace(verdict, basis_sizes={w: len(b) for w, b in bases.items()}), bases
+    verdict, classes = _search(a1, a2)
+    return verdict, {
+        c: _first_basis(b) if type(b) is QueueItem else b for c, b in classes.items()
+    }
 
 
 def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     """Polynomial-time equivalence decision: the verdict of
-    :func:`basis_search`.
+    :func:`basis_search`, without the first rows that it builds only to
+    return its bases.
 
     Exact throughout; the verdict carries the least witness word and both
     acceptance probabilities whenever the automata differ, and the search
@@ -292,7 +345,7 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
     :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
     :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
     """
-    return basis_search(a1, a2)[0]
+    return _search(a1, a2)[0]
 
 
 def brute_force(

@@ -305,7 +305,8 @@ def _width(a: KLetterQFA) -> int:
     padded last j characters; and a context with i > j real letters shares
     its last i - 1 >= j characters with its parent.  So one pass that reads
     each context once finds the least width: the largest i at which some
-    context differs from its parent, or 1.
+    context differs from its parent, or 1.  The pass stops once the width
+    reaches a.k, since no width is larger.
     """
     width = 1
     for ctx in _iter_contexts(a.alphabet, a.k):
@@ -315,6 +316,8 @@ def _width(a: KLetterQFA) -> int:
         body = ctx.lstrip(LAMBDA)
         if len(body) > width and a.transitions[_window(body[1:], a.k)] != m:
             width = len(body)
+            if width == a.k:
+                return width
     return width
 
 

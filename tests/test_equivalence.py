@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from qfaeq.equivalence import (
     real_row,
     theorem4_bound,
 )
-from qfaeq.linalg import CMatrix, _row_vector, span_insert
+from qfaeq.linalg import CMatrix, _row_vector, row_prob, span_insert
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -555,10 +556,10 @@ def test_no_span_work_past_the_witness(monkeypatch):
     assert not any(v.equivalent for v, _ in runs[:5]) and len(differ) >= 7
     for v, built in differ:
         assert all(length < len(v.witness) for length in built), v
-    # the first width-4 deep twist differs at "bbbb" after 8 rows, the
-    # longest of length 3; growing each word as it is checked builds 23
+    # the first width-4 deep twist differs at "bbbb" and builds no row:
+    # each of the eight length-3 words grown before it heads its own class
     v, built = runs[2]
-    assert (v.witness, len(built), max(built)) == ("bbbb", 8, 3)
+    assert (v.witness, len(built)) == ("bbbb", 0)
     # an equivalent pair grows every checked word: one row per word of
     # length k-1, and one per word counted from length k on
     for m, k in itertools.product((1, 2), (1, 2, 3)):
@@ -568,6 +569,130 @@ def test_no_span_work_past_the_witness(monkeypatch):
             v, built = rows_built(a, b)
             assert v.equivalent
             assert len(built) == v.nodes_processed + m ** (_width(a) - 1)
+
+
+def recording_real_row(monkeypatch):
+    """Record the word of every real row the search builds, in order."""
+    words = []
+
+    def recording(item):
+        words.append(item.word)
+        return real_row(item)
+
+    monkeypatch.setattr(qfaeq.equivalence, "real_row", recording)
+    return words
+
+
+def test_no_row_for_a_witness_of_length_k(monkeypatch):
+    # a word of length k has only parents of length k - 1, each the one
+    # grown word of its own class; a class's first row is independent, so
+    # it is never built before a second word of its class is grown
+    built = recording_real_row(monkeypatch)
+    seen = 0
+    for i, (width, m) in enumerate(itertools.product((2, 3, 4), (1, 2, 3))):
+        alphabet = Alphabet("abc"[:m])
+        a = with_accepting(random_qfa(2, alphabet, 1, 91000 + i), {0})
+        for b in (lift(a, width), random_qfa(2, alphabet, width, 92000 + i)):
+            b = twisted_at_last_context(b, 93000 + i)
+            built.clear()
+            v = decide(a, b)
+            if not v.equivalent and len(v.witness) == _width(b):
+                seen += 1
+                assert built == [], v
+                assert set(v.basis_sizes.values()) == {1}
+    assert seen >= 5
+
+
+def eager_search(a1, a2):
+    """The search with every grown word's row built and inserted as the
+    word is grown: the reference for when a class's first row is built."""
+    k = max(_width(a1), _width(a2))
+    bases = {}
+
+    def grow(item):
+        length = len(item.word)
+        return length < k - 1 or span_insert(
+            bases.setdefault(class_of(item.word, k), {}),
+            qfaeq.equivalence.real_row(item),
+        )
+
+    return qfaeq.equivalence._walk(a1, a2, grow, k), bases, k
+
+
+def test_first_rows_wait_for_a_second_word(monkeypatch):
+    # over a grid of equivalent and inequivalent pairs: the bases are the
+    # eager ones by value, the verdict's sizes count a class with one grown
+    # word as 1 in the same key order, and each class sees its rows in the
+    # eager order, its first row built just before its second word's row
+    kinds = collections.Counter()
+    built = recording_real_row(monkeypatch)
+    for n1, n2, m, (k1, k2) in itertools.product(
+        (1, 2), (2, 3), (1, 2), ((1, 1), (2, 2), (1, 2), (2, 1))
+    ):
+        alphabet = Alphabet("ab"[:m])
+        seed = 1000 * n1 + 100 * n2 + 10 * m + k1 + 3 * k2
+        a1 = random_qfa(n1, alphabet, k1, seed)
+        a2 = random_qfa(n2, alphabet, k2, seed + 1)
+        twisted = twisted_at_last_context(a2, seed)
+        for b1, b2 in [(a1, a2), (a2, lift(a2, k2 + 1)), (a2, twisted)]:
+            built.clear()
+            eager, eager_bases, k = eager_search(b1, b2)
+            eager_rows = list(built)
+            v, bases = basis_search(b1, b2)
+            assert v == eager and v.nodes_processed == eager.nodes_processed
+            assert bases == eager_bases
+            assert list(v.basis_sizes.items()) == [
+                (c, len(basis)) for c, basis in eager_bases.items()
+            ]
+            # decide builds the rows of basis_search's walk, in its order
+            built.clear()
+            assert decide(b1, b2) == v
+            walk_rows = list(built)
+            for c in eager_bases:
+                mine = [w for w in walk_rows if class_of(w, k) == c]
+                theirs = [w for w in eager_rows if class_of(w, k) == c]
+                assert mine == theirs[: len(mine)]
+                assert len(mine) != 1 and len(theirs) - len(mine) <= 1
+                if mine:
+                    first = walk_rows.index(mine[0])
+                    assert walk_rows[first + 1] == mine[1]
+            kinds[v.equivalent] += 1
+            if v.equivalent:
+                assert sorted(walk_rows) == sorted(eager_rows)
+    assert kinds[True] >= 10 and kinds[False] >= 10
+
+
+def _reduced(s, re, im):
+    g = math.gcd(s, *re, *im)
+    return s // g, tuple(x // g for x in re), tuple(x // g for x in im)
+
+
+def test_integer_check_agrees_with_row_prob():
+    # the walk's integer test is row_prob's inequality, on random reduced
+    # rows and on rows of equal probability at different scales
+    rng = random.Random(17)
+    equal = 0
+    for _ in range(400):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
+        acc1 = frozenset(q for q in range(n1) if rng.random() < 0.5)
+        acc2 = frozenset(q for q in range(n2) if rng.random() < 0.5)
+
+        def row(n):
+            parts = [rng.randint(-9, 9) for _ in range(2 * n)]
+            return _reduced(rng.randint(1, 30), parts[:n], parts[n:])
+
+        v1 = row(n1)
+        # times 3 + 4i over 5: the same probability at another scale
+        s, re, im = v1
+        v2 = _reduced(5 * s, [3 * x - 4 * y for x, y in zip(re, im)],
+                      [4 * x + 3 * y for x, y in zip(re, im)])
+        for w1, a1, w2, a2 in [(v1, acc1, row(n2), acc2), (v1, acc1, v2, acc1)]:
+            differ = row_prob(w1, a1) != row_prob(w2, a2)
+            assert qfaeq.equivalence._differ(w1, w2, a1, a2) == differ
+            assert qfaeq.equivalence._differ(w2, w1, a2, a1) == differ
+        assert row_prob(v1, acc1) == row_prob(v2, acc1)
+        equal += v1[0] != v2[0]
+    assert equal >= 100
 
 
 def test_brute_force_queues_no_word_at_its_cap(monkeypatch):

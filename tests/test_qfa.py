@@ -452,6 +452,24 @@ def test_width_reads_each_context_once(monkeypatch):
     assert len(read) == len(wide.transitions)
 
 
+def test_width_stops_at_full_width(monkeypatch):
+    # no width exceeds k, so the walk ends at the first full-width context
+    # that differs from its parent, before the last context
+    a = random_qfa(2, Alphabet("ab"), 3, seed=6)
+    read = []
+    iter_contexts = qfaeq.qfa._iter_contexts
+
+    def counting_contexts(alphabet, k):
+        for ctx in iter_contexts(alphabet, k):
+            read.append(ctx)
+            yield ctx
+
+    monkeypatch.setattr(qfaeq.qfa, "_iter_contexts", counting_contexts)
+    assert _width(a) == 3
+    assert len(read) < len(a.transitions)
+    assert narrow_by_peeling(a).k == 3
+
+
 def test_width_unary_grid():
     # every context the identity but the one with i real letters, a swap:
     # the contexts with i and i + 1 letters differ from their parents

@@ -29,7 +29,7 @@ holds more than n1^2 + n2^2 - 1 independent rows.
 Because each step depends on x only through the window governing the next
 letter, the rows can be explored word by word; collecting a spanning set per
 suffix class, the last k-1 letters for k the larger effective width,
-visits only polynomially many words (see :func:`basis_search`), and no row
+visits only polynomially many words (see :func:`decide`), and no row
 outside the collected spans can introduce a new violation.  An automaton
 whose transitions depend only on its last j letters has effective width j
 (:func:`~qfaeq.qfa._width`), whatever width it declares; it still steps on
@@ -45,10 +45,10 @@ they are checked; so a search that stops at a witness does no span work
 for a word whose children would come after it.  A class's first row,
 its block-1 diagonal summing to 1 by the trace identity, is never in the
 empty span, so it is built only when a second word of the class is
-grown, or when :func:`basis_search` returns its bases; an inequivalent
-verdict counts a class with one grown word as size 1.  There is one
-loop: :func:`brute_force` walks the same words with the same test, but
-extends every word shorter than a length cap instead of collecting spans.
+grown; an inequivalent verdict counts a class with one grown word as
+size 1.  There is one loop: :func:`brute_force` walks the same words with
+the same test, but extends every word shorter than a length cap instead of
+collecting spans.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def theorem4_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 
 def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
-    """The longest word :func:`basis_search` can check, R + k - 1, where
+    """The longest word :func:`decide` can check, R + k - 1, where
     R = (n1^2 + n2^2 - 1) * m^(k-1) bounds the total rank of its suffix
     classes: a checked word of length L >= k - 1 has L - k + 1 ancestors
     of lengths k - 1 .. L - 1, each inserted and so adding one to that rank.
@@ -109,8 +109,8 @@ def rank_bound(n1: int, n2: int, m: int, k: int) -> int:
 
 def _search_depth(a1: KLetterQFA, a2: KLetterQFA) -> int:
     """:func:`rank_bound` at the larger effective width, the width that
-    :func:`basis_search` names its classes at; ``qfaeq equiv`` reports it
-    as bound_used."""
+    :func:`decide` names its classes at; ``qfaeq equiv`` reports it as
+    bound_used."""
     k = max(_width(a1), _width(a2))
     return rank_bound(a1.n, a2.n, len(a1.alphabet), k)
 
@@ -121,8 +121,8 @@ class QueueItem(NamedTuple):
     ``(s, re, im)`` standing for (re + i*im)/s, as
     :func:`~qfaeq.linalg.start_row` and
     :func:`~qfaeq.linalg.row_times_matrix` produce them.  It is the node
-    of the word walk that :func:`basis_search` and :func:`brute_force`
-    share, one :func:`extend` per word."""
+    of the word walk that :func:`decide` and :func:`brute_force` share,
+    one :func:`extend` per word."""
 
     word: str
     v1: tuple
@@ -188,9 +188,9 @@ class Verdict:
 
     ``nodes_processed`` counts the words checked, the witness included:
     all of them for :func:`brute_force`, and those of length k or more for
-    :func:`basis_search`, k the larger effective width; ``basis_sizes``
-    maps each suffix class, the last k-1 letters, seeded before the search
-    ended to its basis size (``None`` for brute force).  A word is grown,
+    :func:`decide`, k the larger effective width; ``basis_sizes`` maps
+    each suffix class, the last k-1 letters, seeded before the search ended
+    to its basis size (``None`` for brute force).  A word is grown,
     its row put into its class's basis, when its children's turn comes, so
     an inequivalent verdict's ``basis_sizes`` lists the classes of the
     words grown before the witness, and counts a class with one grown word
@@ -226,7 +226,7 @@ def _walk(
     least: int,
     cap: float = math.inf,
 ) -> Verdict:
-    """The one loop of :func:`basis_search` and :func:`brute_force`: check
+    """The one loop of :func:`decide` and :func:`brute_force`: check
     words in word order, each made by :func:`extend` from its parent, until
     two acceptance probabilities differ.  The queue holds checked words
     shorter than ``cap``; a word is grown when its children's turn comes:
@@ -257,21 +257,43 @@ def _walk(
         children = (extend(a1, a2, parent, s) for s in symbols) if grow(parent) else ()
 
 
-def _first_basis(item: QueueItem) -> dict:
-    """The basis of a class whose one row so far is item's.  The row is
-    independent of the empty span: by the trace identity its block-1
-    diagonal sums to 1."""
-    basis = {}
-    span_insert(basis, real_row(item))
-    return basis
+def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
+    """Polynomial-time equivalence decision: collect a spanning set of rows
+    per suffix class, or stop at the least counterexample.
 
+    Exact throughout; the verdict carries the least witness word and both
+    acceptance probabilities whenever the automata differ, and the search
+    counts either way.  Each automaton steps on its own declared window;
+    the larger effective width k (:func:`~qfaeq.qfa._width`) only names the
+    suffix classes, the last k-1 letters, so a lift is searched with the
+    classes, rows and counts of the automaton it was lifted from.  The
+    search is the word walk it shares with :func:`brute_force`; it extends
+    fewer words, and its ``nodes_processed`` counts only those of length k
+    or more.  A word shorter than k-1 heads no class and is always
+    extended.  From length k-1 on, a word is grown when its children's turn
+    comes: it goes into its class, and the word is extended only if its
+    real row was independent of the class's basis; a dependent row is
+    discarded.  The first word of a class is always extended, its row
+    being independent by the trace identity, and that row is built only
+    when a second word of the class is grown: it is inserted, then the
+    second row is tested, so each basis sees the same rows in the same
+    order as if every row were built on growing.  A word whose children
+    would come after the witness is never grown.  By the trace identity a
+    discarded row's word can differ only if an earlier word of its class
+    did, and when no word differs the row of every unextended word lies in
+    a span of rows with accepting sum zero, which is why the search decides
+    equivalence.
 
-def _search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
-    """The walk of :func:`basis_search` and :func:`decide`, with its one
-    grow rule: the verdict, counts included, and the classes, each mapped
-    to its basis or, while one word of the class has been grown, to that
-    word's :class:`QueueItem`, whose row is not built yet."""
+    ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
+    both automata are well formed and within validate's caps of 64 states
+    and 4096 contexts.  Automata from :func:`~qfaeq.io.parse_qfa` or
+    :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
+    :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
+    """
     k = max(_width(a1), _width(a2))
+    # each class seeded so far: its basis, a dict from pivot column to row
+    # as span_insert keeps it, or, while one word of the class has been
+    # grown, that word's QueueItem, whose row is not built yet
     classes = {}
 
     def grow(item: QueueItem) -> bool:
@@ -283,69 +305,14 @@ def _search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
         if basis is item:
             return True
         if type(basis) is QueueItem:
-            basis = classes[c] = _first_basis(basis)
+            first = real_row(basis)
+            basis = classes[c] = {}
+            span_insert(basis, first)
         return span_insert(basis, real_row(item))
 
     verdict = _walk(a1, a2, grow, k)
     sizes = {c: 1 if type(b) is QueueItem else len(b) for c, b in classes.items()}
-    return replace(verdict, basis_sizes=sizes), classes
-
-
-def basis_search(a1: KLetterQFA, a2: KLetterQFA) -> tuple[Verdict, dict]:
-    """Collect a spanning set of rows per suffix class, or stop at the least
-    counterexample; return the verdict and the bases.
-
-    Each automaton steps on its own declared window; the larger effective
-    width k (:func:`~qfaeq.qfa._width`) only names the suffix classes, so a
-    lift is searched with the classes, rows and counts of the automaton it
-    was lifted from.  The search is the word walk it shares with
-    :func:`brute_force`; it extends fewer words, and its
-    ``nodes_processed`` counts only those of length k or more.  A word
-    shorter than k-1 heads no class and is always extended.  From length
-    k-1 on, a word is grown when its children's turn comes: it goes into
-    the class named by its last k-1 letters, and the word is extended only
-    if its real row was independent of the class's basis; a dependent row
-    is discarded.  The first word of a class is always extended, its row
-    being independent by the trace identity, and that row is built only
-    when a second word of the class is grown: it is inserted, then the
-    second row is tested, so each basis sees the same rows in the same
-    order as if every row were built on growing.  A word whose children
-    would come after the witness is never grown.  By the trace identity a
-    discarded row's word can differ only if an earlier word of its class
-    did, and when no word differs the row of every unextended word lies in
-    a span of rows with accepting sum zero, which is why the search
-    decides equivalence.
-
-    The bases map each class seeded before the search ended, on a pair
-    that differs the classes of the words grown before the witness, to
-    its fully reduced basis, a dict from pivot column to row (see
-    :func:`~qfaeq.linalg.span_insert`); the first rows still unbuilt when
-    the walk stops are built before it returns.  The verdict's
-    ``basis_sizes`` counts such a class as 1.
-    """
-    verdict, classes = _search(a1, a2)
-    return verdict, {
-        c: _first_basis(b) if type(b) is QueueItem else b for c, b in classes.items()
-    }
-
-
-def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
-    """Polynomial-time equivalence decision: the verdict of
-    :func:`basis_search`, without the first rows that it builds only to
-    return its bases.
-
-    Exact throughout; the verdict carries the least witness word and both
-    acceptance probabilities whenever the automata differ, and the search
-    counts either way.  Its suffix classes are the last k-1 letters for k
-    the larger effective width.
-
-    ``decide`` does not call :func:`~qfaeq.qfa.validate`: it trusts that
-    both automata are well formed and within validate's caps of 64 states
-    and 4096 contexts.  Automata from :func:`~qfaeq.io.parse_qfa` or
-    :func:`~qfaeq.qfa.random_qfa` are; library callers who build a
-    :class:`~qfaeq.qfa.KLetterQFA` by hand must validate it first.
-    """
-    return _search(a1, a2)[0]
+    return replace(verdict, basis_sizes=sizes)
 
 
 def brute_force(
@@ -353,13 +320,13 @@ def brute_force(
 ) -> Verdict:
     """Compare acceptance probabilities on every word up to a length cap.
 
-    It runs :func:`basis_search`'s loop, with the same rows, test and
-    witness, but extends every word shorter than the cap.  With the
-    default cap, :func:`_search_depth`, the answer is definitive: past that
-    length :func:`basis_search` checks no word.  Enumeration is exponential
-    in the cap for alphabets of two or more symbols; this is a cross-check
-    oracle for small instances, not the production procedure.  The witness,
-    if any, is the least differing word in word order.  A negative cap is a
+    It runs :func:`decide`'s loop, with the same rows, test and witness,
+    but extends every word shorter than the cap.  With the default cap,
+    :func:`_search_depth`, the answer is definitive: past that length
+    :func:`decide` checks no word.  Enumeration is exponential in the cap
+    for alphabets of two or more symbols; this is a cross-check oracle for
+    small instances, not the production procedure.  The witness, if any,
+    is the least differing word in word order.  A negative cap is a
     ValueError.
     """
     if max_len is None:

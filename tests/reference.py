@@ -6,7 +6,9 @@ and never call the package's integer kernel (``CMatrix.__mul__``,
 so a bug in either cannot hide in both sides of a comparison.  The module
 also holds two more oracles for equivalence: :func:`weighted_sums`, and
 :func:`backward_decide`, an exact decider from the accepting side with
-integer products and a Fraction elimination of its own.  It builds the
+integer products and a Fraction elimination of its own; and
+:func:`check_certificate`, which checks the search's bases as a proof of
+equivalence with the same products and elimination.  It builds the
 automata, the search's start node and the hostile input that
 several tests share, the writer that serializes a document through the
 standard library's json encoder, and a narrowing that peels one letter
@@ -362,14 +364,21 @@ def _expectation(psi: tuple, x: tuple) -> Fraction:
     return Fraction(total, e * e * s)
 
 
-def _reduce_insert(basis: dict, row: list) -> bool:
-    """Add row to basis, a dict from pivot column to a row that is one at
-    its own pivot and zero at every other, keeping it so; False, and basis
-    unchanged, when row lies in its span."""
+def _residual(basis: dict, row: list) -> list:
+    """row less its part in the span of basis, a dict from pivot column to
+    a row that is one at its own pivot and zero at every other: all zero
+    exactly when row lies in that span."""
     for col, b in basis.items():
         c = row[col]
         if c:
-            row = [x - c * y for x, y in zip(row, b)]
+            row = [x - c * y if y else x for x, y in zip(row, b)]
+    return row
+
+
+def _reduce_insert(basis: dict, row: list) -> bool:
+    """Add row to basis, a dict as :func:`_residual` reads one, keeping it
+    so; False, and basis unchanged, when row lies in its span."""
+    row = _residual(basis, row)
     pivot = next((j for j, x in enumerate(row) if x), None)
     if pivot is None:
         return False
@@ -378,7 +387,7 @@ def _reduce_insert(basis: dict, row: list) -> bool:
     for col, b in basis.items():
         c = b[pivot]
         if c:
-            basis[col] = [x - c * y for x, y in zip(b, row)]
+            basis[col] = [x - c * y if y else x for x, y in zip(b, row)]
     basis[pivot] = row
     return True
 
@@ -456,6 +465,142 @@ def backward_decide(a1: KLetterQFA, a2: KLetterQFA):
                 return length + 1
             if _reduce_insert(bases[c], coordinates(ys)):
                 queue.append((c, length + 1, ys))
+    return None
+
+
+# a matrix (re + i*im)/den with integer rows, as _conjugate_by reads one
+_Parts = collections.namedtuple("_Parts", "den re im")
+
+
+def _adjoint(m: CMatrix) -> _Parts:
+    """m^dagger read off m's integer form: the transpose, its imaginary
+    part negated."""
+    return _Parts(m.den, list(zip(*m.re)), [[-x for x in col] for col in zip(*m.im)])
+
+
+def _outer(psi: tuple, sign: int) -> tuple:
+    """sign * psi psi^dagger for a ket psi = (pr + i*pi)/e held as
+    (e, pr, pi), as (s, re, im): entry (p, q) is psi_p conj(psi_q)."""
+    e, pr, pi = psi
+    pairs = list(zip(pr, pi))
+    re = [[sign * (a * c + b * d) for c, d in pairs] for a, b in pairs]
+    im = [[sign * (b * c - a * d) for c, d in pairs] for a, b in pairs]
+    return e * e, re, im
+
+
+def _from_coordinates(coords: list, n: int) -> tuple:
+    """The n x n Hermitian matrix whose coordinates, as
+    :func:`_hermitian_coordinates` reads them, are coords, as (s, re, im)."""
+    coords = [Fraction(x) for x in coords]
+    s = lcm(*(x.denominator for x in coords))
+    ints = iter(x.numerator * (s // x.denominator) for x in coords)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for p in range(n):
+        re[p][p] = next(ints)
+    for p in range(n):
+        for q in range(p + 1, n):
+            re[p][q] = re[q][p] = next(ints)
+            im[p][q] = next(ints)
+            im[q][p] = -im[p][q]
+    return s, re, im
+
+
+def check_certificate(a1: KLetterQFA, a2: KLetterQFA, k: int, bases: dict):
+    """The first check that bases fail as a proof that a1 and a2 accept
+    every word with equal probabilities, as a line naming it, or None when
+    every check passes.  It shares no code with the search: the blocks are
+    stepped with :func:`_conjugate_by`'s integer products and spans are
+    tested with :func:`_residual`.
+
+    bases maps each class c, a word of k - 1 letters, to a dict whose
+    values span V_c: real rows in the search's coordinates, the diagonal
+    of block 1, then Re and Im of each entry above it, then the same for
+    block 2, n1^2 + n2^2 numbers.  The blocks of a word x are
+    rho1(x) = Tbar1^dagger psi1 psi1^dagger Tbar1 and
+    rho2(x) = -Tbar2^dagger psi2 psi2^dagger Tbar2, for Tbari the product
+    of automaton i's transitions along x, and their accepting sum is
+    P1(x) - P2(x).  The checks, in order:
+
+    - width: for each automaton whose declared width ki exceeds k, every
+      context has the matrix of ``'_' * (ki - k) + ctx[-k:]``, so its
+      step depends only on the last k letters;
+    - (1) every word shorter than k - 1 has accepting sum 0, so equal
+      acceptance probabilities;
+    - (2) the row of each class's own word c lies in V_c;
+    - (3) every row of bases has accepting sum 0;
+    - (4) closure: for each row b of V_c and each letter s,
+      Phi_{c,s}(b) = (T1^dagger X1 T1, T2^dagger X2 T2) lies in
+      V_{(cs)[1:]}, for (X1, X2) the blocks of b and Ti automaton i's
+      transition at the window of cs, its last ki letters padded.
+
+    They prove equivalence by induction on the length of a word x of k - 1
+    letters or more: its row lies in the V of its last k - 1 letters by
+    (2), and then that of xs by (4), since by the width check Ti at the
+    window of cs is the transition x steps on at s.  Then P1 = P2 on x by
+    (3), since the accepting sum is linear, and on shorter words by (1).
+    Karr (Acta Informatica 6, 1976) checks inductive linear invariants of
+    programs the same way.
+    """
+    automata = (a1, a2)
+    if a1.alphabet != a2.alphabet:
+        return "alphabets differ"
+    for i, a in enumerate(automata, 1):
+        for ctx, m in a.transitions.items() if a.k > k else ():
+            same = a.transitions.get(LAMBDA * (a.k - k) + ctx[-k:])
+            if same is None or (same.den, same.re, same.im) != (m.den, m.re, m.im):
+                return f"width: automaton {i} at {ctx!r} reads more than {k} letters"
+    n1, n2 = a1.n, a2.n
+    symbols = a1.alphabet.symbols
+    positions = accept_positions(a1, a2)
+    daggers = [{ctx: _adjoint(m) for ctx, m in a.transitions.items()} for a in automata]
+
+    def step(blocks, word):
+        """The blocks of word from those of word[:-1]."""
+        return tuple(
+            _conjugate_by(d[word[-a.k :].rjust(a.k, LAMBDA)], x)
+            for a, d, x in zip(automata, daggers, blocks)
+        )
+
+    def row(blocks):
+        return _hermitian_coordinates(blocks[0]) + _hermitian_coordinates(blocks[1])
+
+    def accepting_sum(r):
+        return sum((r[p] for p in positions), Fraction(0))
+
+    spans = {}
+    for c, basis in bases.items():
+        spans[c] = {}
+        for b in basis.values():
+            if len(b) != n1 * n1 + n2 * n2:
+                return f"shape: class {c!r} has a row of {len(b)} coordinates"
+            _reduce_insert(spans[c], [Fraction(x) for x in b])
+
+    def outside(c, r):
+        return any(_residual(spans.get(c, {}), r))
+
+    level = {"": (_outer(_ket(a1), 1), _outer(_ket(a2), -1))}
+    for _ in range(k - 1):
+        for word, blocks in level.items():
+            if accepting_sum(row(blocks)):
+                return f"(1): the word {word!r} is accepted with unequal probabilities"
+        level = {w + s: step(x, w + s) for w, x in level.items() for s in symbols}
+    for c, blocks in level.items():
+        if outside(c, row(blocks)):
+            return f"(2): the row of {c!r} is not in its class's span"
+    for c, basis in bases.items():
+        for b in basis.values():
+            if accepting_sum(b):
+                return f"(3): a row of class {c!r} has a nonzero accepting sum"
+    for c, basis in bases.items():
+        for b in basis.values():
+            blocks = (
+                _from_coordinates(b[: n1 * n1], n1),
+                _from_coordinates(b[n1 * n1 :], n2),
+            )
+            for s in symbols:
+                if outside((c + s)[1:], row(step(blocks, c + s))):
+                    return f"(4): a row of class {c!r} leaves the span at {s!r}"
     return None
 
 

@@ -24,7 +24,6 @@ import pytest
 
 from qfaeq.equivalence import (
     Verdict,
-    basis_search,
     brute_force,
     decide,
     extend,
@@ -54,9 +53,11 @@ from qfaeq.qfa import (
 from qfaeq.io import serialize_qfa
 from qfaeq.scalars import GaussianRational
 
+from eager import eager_search
 from reference import (
     accept_positions,
     backward_decide,
+    check_certificate,
     conj,
     direct_sum,
     mu_bar,
@@ -274,9 +275,10 @@ def test_criterion_1_oracle_agreement(grid_runs, acceptance_report):
         assert grid_digest(
             (v.nodes_processed, sorted(v.basis_sizes.items())) for v in verdicts
         ) == "58439b958e63127c0debe336d5b94982a825edce1ea1c35dda22bbed931e6163"
-        # decide is basis_search read off; spot-check the pieces
+        # decide builds the eager search's bases, first rows of one-word
+        # classes aside; spot-check the pieces
         for r in runs[::24]:
-            v, bases = basis_search(r.a1, r.a2)
+            v, bases, _ = eager_search(r.a1, r.a2)
             assert v.witness == r.verdict.witness
             assert {w: len(b) for w, b in bases.items()} == r.basis_sizes
 
@@ -489,7 +491,7 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
             assert_float_free(r.a2)
         start = start_item(sample[0].a1, sample[0].a2)
         assert_float_free(start)
-        assert_float_free(basis_search(sample[0].a1, sample[0].a2))
+        assert_float_free(eager_search(sample[0].a1, sample[0].a2))
         # search nodes hold reduced scaled ints, and the rows read off them
         # and the bases hold plain Fractions only
         for r in sample:
@@ -501,7 +503,7 @@ def test_criterion_6_exactness_and_determinism(grid_runs, acceptance_report):
                     assert_reduced_ints(row[0], row[1] + row[2])
                 assert all(type(x) is Fraction for x in real_row(item))
         for r in sample:
-            for basis in basis_search(r.a1, r.a2)[1].values():
+            for basis in eager_search(r.a1, r.a2)[1].values():
                 for row in basis.values():
                     assert all(type(x) is Fraction for x in row)
         # matrices and the integer rows of accept_prob and brute_force are
@@ -652,24 +654,53 @@ def random_block(a, d, seed):
     return with_block(a, {ctx: random_unitary(d, rng) for ctx in sorted(a.transitions)})
 
 
-def benchmark_decide_round(monkeypatch, tmp_path):
-    """The (label, a1, a2) of round 0 of the benchmark's `decide`
-    operations at seed 1, built by perfbench/workloads.py, which is loaded
-    from its file and left unchanged."""
+@pytest.fixture(scope="module")
+def block_runs():
+    """(kind, b1, b2, verdict) for a grid of direct sums of random unitary
+    blocks of sizes 1 and 2, 2 and 2, or 2 and 3 over one and two letters
+    at widths 1 and 2: equivalent pairs that are not conjugations."""
+    # sizes 2 and 3 at width 2 are left out: about a second per pair
+    blocks = [
+        (symbols, k, d1, d2)
+        for symbols in ("ab", "a")
+        for k in (1, 2)
+        for d1, d2 in ((1, 2), (2, 2), (2, 3))
+        if k == 1 or d2 < 3
+    ]
+    runs = []
+    for i, (symbols, k, d1, d2) in enumerate(blocks):
+        a = accept_first(random_qfa(2, Alphabet(symbols), k, 91000 + i))
+        b1 = random_block(a, d1, 91100 + i)
+        b2 = random_block(a, d2, 91200 + i)
+        runs.append(("block", b1, b2, decide(b1, b2)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def bench_runs(tmp_path_factory):
+    """(label, a1, a2, verdict) for round 0 of the benchmark's `decide`
+    operations at seed 1, one pair of each shape, built by
+    perfbench/workloads.py, which is loaded from its file and left
+    unchanged."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the file executes
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    ops, _ = workloads.operations(
-        "decide", workloads.generate("decide", 1, tmp_path)
-    )
-    return [(op.label, op.a1, op.a2) for op in ops if op.round == 0]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # its dataclasses look their module up while the file executes
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        ops, _ = workloads.operations(
+            "decide", workloads.generate("decide", 1, tmp_path_factory.mktemp("bench"))
+        )
+    return [
+        (f"benchmark {op.label}", op.a1, op.a2, decide(op.a1, op.a2))
+        for op in ops
+        if op.round == 0
+    ]
 
 
 def test_criterion_10_backward_oracle(
-    grid_runs, acceptance_report, monkeypatch, tmp_path
+    grid_runs, block_runs, bench_runs, acceptance_report
 ):
     # An exact decider that shares no code with the search, extend,
     # row_prob or span_insert: it spans observables from the accepting
@@ -677,10 +708,9 @@ def test_criterion_10_backward_oracle(
     # walk that decide and brute_force share moves only one side.  Pairs:
     # every grid pair, width-w lifts twisted at the context of w last
     # letters (witnesses of length w or more), and direct sums equivalent
-    # without being conjugations: criterion 8's phase-block pairs, and a
-    # grid of random unitary blocks of sizes 1 and 2, 2 and 2, or 2 and 3
-    # over one and two letters at widths 1 and 2.  Then one round of the
-    # benchmark's own `decide` operations, one pair of each shape.
+    # without being conjugations: criterion 8's phase-block pairs, and the
+    # block grid.  Then one round of the benchmark's own `decide`
+    # operations, one pair of each shape.
     runs, _ = grid_runs
     pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs]
     alphabet = Alphabet("ab")
@@ -692,32 +722,16 @@ def test_criterion_10_backward_oracle(
         a = random_qfa(n - 1, alphabet, k, 7)
         b1, b2 = with_phase_block(a, 0), with_phase_block(a, 1)
         pairs.append(("phase block", b1, b2, decide(b1, b2)))
-    # sizes 2 and 3 at width 2 are left out: about a second per pair
-    blocks = [
-        (symbols, k, d1, d2)
-        for symbols in ("ab", "a")
-        for k in (1, 2)
-        for d1, d2 in ((1, 2), (2, 2), (2, 3))
-        if k == 1 or d2 < 3
-    ]
-    for i, (symbols, k, d1, d2) in enumerate(blocks):
-        a = accept_first(random_qfa(2, Alphabet(symbols), k, 91000 + i))
-        b1 = random_block(a, d1, 91100 + i)
-        b2 = random_block(a, d2, 91200 + i)
-        pairs.append(("block", b1, b2, decide(b1, b2)))
-    bench = [
-        (f"benchmark {label}", a1, a2, decide(a1, a2))
-        for label, a1, a2 in benchmark_decide_round(monkeypatch, tmp_path)
-    ]
+    pairs += block_runs
     deep = 0
     with criterion(
         acceptance_report,
         f"criterion 10: the backward span oracle agrees with decide on the "
         f"verdict and witness length on {len(pairs)} pairs and "
-        f"{len(bench)} benchmark decide operations",
+        f"{len(bench_runs)} benchmark decide operations",
     ):
-        assert {v.equivalent for _, _, _, v in bench} == {True, False}
-        for kind, a1, a2, v in pairs + bench:
+        assert {v.equivalent for _, _, _, v in bench_runs} == {True, False}
+        for kind, a1, a2, v in pairs + bench_runs:
             length = None if v.equivalent else len(v.witness)
             assert backward_decide(a1, a2) == length, (kind, v)
             if kind.startswith("deep twist") and length is not None:
@@ -727,3 +741,47 @@ def test_criterion_10_backward_oracle(
                 assert v.equivalent, v
         assert deep > 0
         assert {v.equivalent for _, _, _, v in pairs} == {True, False}
+
+
+def test_criterion_11_certificate(
+    grid_runs, block_runs, bench_runs, acceptance_report
+):
+    # Every equivalent verdict of the grid, the block grid and round 0 of
+    # the benchmark's decide operations, proved: the eager search's bases,
+    # which decide builds but does not return, pass check_certificate,
+    # which shares no code with the search.  decide's counts are the eager
+    # ones.  Two mutants must fail: each certificate with the last row of
+    # its largest class dropped, and a certificate against a twist: (a, a)'s
+    # bases against each grid twist pair (a, twist of a) that differs, and
+    # each grid lift pair's bases against its lift twisted at the last
+    # context, which must fail the width check.
+    runs, _ = grid_runs
+    pairs = [(r.kind, r.a1, r.a2, r.verdict) for r in runs]
+    pairs += block_runs + bench_runs
+    equivalent = [(kind, a1, a2, v) for kind, a1, a2, v in pairs if v.equivalent]
+    twists = [r for r in runs if r.kind == "twist" and not r.verdict.equivalent]
+    lifts = []
+    with criterion(
+        acceptance_report,
+        f"criterion 11: the eager bases certify all {len(equivalent)} "
+        f"equivalent verdicts with decide's counts; each certificate less "
+        f"one row fails, and (a, a)'s fails against a twist of a on "
+        f"{len(twists)} differing twists and the lift pairs",
+    ):
+        for kind, a1, a2, v in equivalent:
+            eager, bases, k = eager_search(a1, a2)
+            assert v.basis_sizes == {c: len(b) for c, b in bases.items()}, kind
+            assert v.nodes_processed == eager.nodes_processed, kind
+            assert check_certificate(a1, a2, k, bases) is None, kind
+            largest = max(bases, key=lambda c: len(bases[c]))
+            fewer = {**bases, largest: dict(list(bases[largest].items())[:-1])}
+            assert check_certificate(a1, a2, k, fewer) is not None, kind
+            if kind == "lift":
+                twisted = twist_last_transition(a2, 110000 + len(lifts))
+                if twisted != a2:
+                    lifts.append(check_certificate(a1, twisted, k, bases))
+        for r in twists:
+            _, bases, k = eager_search(r.a1, r.a1)
+            assert check_certificate(r.a1, r.a2, k, bases) is not None
+        assert twists and lifts
+        assert all(str(line).startswith("width") for line in lifts), lifts

@@ -8,7 +8,6 @@ import pytest
 
 import qfaeq.equivalence
 from qfaeq.equivalence import (
-    basis_search,
     brute_force,
     decide,
     extend,
@@ -32,9 +31,11 @@ from qfaeq.qfa import (
 )
 from qfaeq.scalars import GaussianRational
 
+from eager import class_of, eager_search
 from reference import (
     accept_positions,
     adjoint,
+    check_certificate,
     conj,
     in_span,
     matmul,
@@ -159,7 +160,7 @@ def test_unary_rank_bound():
 
 def test_checks_require_matching_alphabets():
     with pytest.raises(ValueError):
-        basis_search(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
+        decide(always_accept_qfa(Alphabet("a")), always_accept_qfa(AB))
     # same symbols in another order: the message names both alphabets
     ab, ba = always_accept_qfa(AB), always_accept_qfa(Alphabet("ba"))
     for check in (decide, brute_force):
@@ -179,9 +180,9 @@ def test_start_of_identity_with_itself_by_hand():
     assert trace_difference(a, a, "") == 0
     assert trace_difference(a, a, "aa") == 0
     # k = 1: a single class, named by the empty suffix
-    v, bases = basis_search(a, a)
-    assert (v.witness, list(bases)) == (None, [""])
-    assert decide(a, a).equivalent
+    v = decide(a, a)
+    assert (v.equivalent, v.witness, list(v.basis_sizes)) == (True, None, [""])
+    assert list(eager_search(a, a)[1]) == [""]
 
 
 def test_start_row_block_structure():
@@ -207,10 +208,10 @@ def test_start_row_block_structure():
 
 
 def search_record(a1, a2):
-    """What basis_search returns, with the counts that Verdict equality
-    leaves out."""
-    v, bases = basis_search(a1, a2)
-    return v, v.nodes_processed, v.basis_sizes, bases
+    """decide's verdict with the counts that Verdict equality leaves out,
+    and the eager search's bases."""
+    v = decide(a1, a2)
+    return v, v.nodes_processed, v.basis_sizes, eager_search(a1, a2)[1]
 
 
 def test_search_steps_mixed_window_widths():
@@ -259,7 +260,7 @@ def test_decide_searches_lifts_at_their_effective_width():
         )
 
 
-def test_basis_search_names_classes_at_effective_width():
+def test_search_names_classes_at_effective_width():
     # a lift is searched with the classes of the automaton it was lifted
     # from: against a lift of itself, in either order, an automaton gets
     # the verdict, counts and bases it gets against itself
@@ -267,19 +268,15 @@ def test_basis_search_names_classes_at_effective_width():
         alphabet = Alphabet("ab"[:m])
         for k in (1, 2):
             a = random_qfa(2, alphabet, k, seed=70 + 10 * m + k)
-            same, same_bases = basis_search(a, a)
+            same = search_record(a, a)
             for wide in (k + 1, k + 2):
                 b = lift(a, wide)
-                for v, bases in (basis_search(a, b), basis_search(b, a)):
-                    assert v == same
-                    assert v.nodes_processed == same.nodes_processed
-                    assert v.basis_sizes == same.basis_sizes
-                    assert bases == same_bases
+                assert search_record(a, b) == search_record(b, a) == same
 
 
 def test_search_builds_no_automaton(monkeypatch):
-    # decide, basis_search and brute_force walk a width-5 lift as it is:
-    # sizing its classes and depth at width 1 builds no automaton
+    # decide, in either order, and brute_force walk a width-5 lift as it
+    # is: sizing its classes and depth at width 1 builds no automaton
     a = random_qfa(2, AB, 1, seed=6)
     wide = lift(a, 5)
     built = []
@@ -291,7 +288,7 @@ def test_search_builds_no_automaton(monkeypatch):
 
     monkeypatch.setattr(KLetterQFA, "__post_init__", counting)
     assert decide(a, wide).nodes_processed == decide(a, a).nodes_processed
-    assert basis_search(wide, a)[0].equivalent
+    assert decide(wide, a).equivalent
     # the default depth is rank_bound(2, 2, 2, 1) = 7: 2^8 - 1 words
     assert brute_force(a, wide).nodes_processed == 255
     assert built == []
@@ -358,10 +355,6 @@ def test_extend_grows_word_and_tracks_vector():
     )
 
 
-def class_of(word, k):
-    return word[len(word) - k + 1 :]
-
-
 def with_accepting(a, accepting):
     return KLetterQFA(a.n, a.alphabet, a.k, a.initial, accepting, a.transitions)
 
@@ -369,9 +362,12 @@ def with_accepting(a, accepting):
 def check_span_insert(monkeypatch, insert=span_insert):
     """Make the search's span_insert check its own answer: True must grow
     the basis by exactly one row, and False must leave it unchanged.  The
-    search extends a word only when a row was inserted, so an insert that
-    says True without growing the basis would keep it running; checked, it
-    fails at the first such call."""
+    search extends a class's second and later words only when their rows
+    were inserted, so an insert that says True without growing the basis
+    would keep it running; checked, it fails at the first such call.  A
+    class's first word is extended before its row is built; that row goes
+    into the empty basis when a second word of the class is grown, and the
+    same check holds for it."""
 
     def checked(basis, row):
         before = {p: list(r) for p, r in basis.items()}
@@ -407,15 +403,15 @@ def test_check_span_insert_catches_lying_inserts(monkeypatch):
 
         check_span_insert(monkeypatch, counted)
         with pytest.raises(AssertionError, match=message):
-            basis_search(a, a)
+            decide(a, a)
         # the very first insert is the lie that fails
         assert len(calls) == 1
     # the real insert passes the same check
     check_span_insert(monkeypatch)
-    assert basis_search(a, a)[0].witness is None
+    assert decide(a, a).witness is None
 
 
-def test_basis_search_resource_bounds_and_order(monkeypatch):
+def test_search_resource_bounds_and_order(monkeypatch):
     check_span_insert(monkeypatch)
     searched = {"full": 0, "stopped": 0}
     for n1, n2, m, k in [(2, 2, 2, 2), (3, 1, 2, 1), (2, 2, 1, 2), (3, 3, 2, 2)]:
@@ -423,7 +419,11 @@ def test_basis_search_resource_bounds_and_order(monkeypatch):
         a1 = random_qfa(n1, alphabet, k, seed=50 + n1)
         a2 = random_qfa(n2, alphabet, k, seed=60 + n2)
         for b1, b2 in [(a1, a2), (a1, a1), (a2, lift(a2, k + 1))]:
-            v, bases = basis_search(b1, b2)
+            # decide runs under the checked span_insert; the eager search,
+            # whose bases decide builds, gives the same verdict and counts
+            v = decide(b1, b2)
+            eager, bases, _ = eager_search(b1, b2)
+            assert v == eager and v.nodes_processed == eager.nodes_processed
             # a row has n1^2 + n2^2 real coordinates and its diagonal ones
             # sum to 0, so a class holds at most n1^2 + n2^2 - 1 rows;
             # searches that stop early keep within the same bounds
@@ -506,16 +506,17 @@ def test_equivalent_pairs_beyond_conjugation():
         assert sum(decide(b1, b1).basis_sizes.values()) == self_rank
 
 
-def test_basis_search_records_short_words():
+def test_search_records_short_words():
     # Words shorter than k-1 head no class: they are checked, and the search
     # stops at the first that differs before any class is seeded.
     assert last_letter_qfa().k == 2
-    v, bases = basis_search(last_letter_qfa(), always_accept_qfa(AB))
-    assert (v.witness, v.nodes_processed, bases) == ("", 0, {})
+    v = decide(last_letter_qfa(), always_accept_qfa(AB))
+    assert (v.witness, v.nodes_processed, v.basis_sizes) == ("", 0, {})
+    assert eager_search(last_letter_qfa(), always_accept_qfa(AB))[1] == {}
     # a pair that agrees on the empty word seeds every class
-    v, bases = basis_search(last_letter_qfa(), last_letter_qfa())
+    v = decide(last_letter_qfa(), last_letter_qfa())
     assert v.witness is None
-    assert sorted(bases) == ["a", "b"]
+    assert sorted(v.basis_sizes) == ["a", "b"]
 
 
 def twisted_at_last_context(a, seed):
@@ -603,27 +604,12 @@ def test_no_row_for_a_witness_of_length_k(monkeypatch):
     assert seen >= 5
 
 
-def eager_search(a1, a2):
-    """The search with every grown word's row built and inserted as the
-    word is grown: the reference for when a class's first row is built."""
-    k = max(_width(a1), _width(a2))
-    bases = {}
-
-    def grow(item):
-        length = len(item.word)
-        return length < k - 1 or span_insert(
-            bases.setdefault(class_of(item.word, k), {}),
-            qfaeq.equivalence.real_row(item),
-        )
-
-    return qfaeq.equivalence._walk(a1, a2, grow, k), bases, k
-
-
 def test_first_rows_wait_for_a_second_word(monkeypatch):
-    # over a grid of equivalent and inequivalent pairs: the bases are the
-    # eager ones by value, the verdict's sizes count a class with one grown
-    # word as 1 in the same key order, and each class sees its rows in the
-    # eager order, its first row built just before its second word's row
+    # over a grid of equivalent and inequivalent pairs: the verdict's sizes
+    # are the eager ones, counting a class with one grown word as 1, in the
+    # same key order, and each class sees its rows in the eager order, its
+    # first row built just before its second word's row, so every basis
+    # that decide builds is the eager one by value
     kinds = collections.Counter()
     built = recording_real_row(monkeypatch)
     for n1, n2, m, (k1, k2) in itertools.product(
@@ -638,16 +624,14 @@ def test_first_rows_wait_for_a_second_word(monkeypatch):
             built.clear()
             eager, eager_bases, k = eager_search(b1, b2)
             eager_rows = list(built)
-            v, bases = basis_search(b1, b2)
+            built.clear()
+            v = decide(b1, b2)
+            walk_rows = list(built)
             assert v == eager and v.nodes_processed == eager.nodes_processed
-            assert bases == eager_bases
             assert list(v.basis_sizes.items()) == [
                 (c, len(basis)) for c, basis in eager_bases.items()
             ]
-            # decide builds the rows of basis_search's walk, in its order
-            built.clear()
-            assert decide(b1, b2) == v
-            walk_rows = list(built)
+            # decide builds the eager search's rows, in its order
             for c in eager_bases:
                 mine = [w for w in walk_rows if class_of(w, k) == c]
                 theirs = [w for w in eager_rows if class_of(w, k) == c]
@@ -660,6 +644,18 @@ def test_first_rows_wait_for_a_second_word(monkeypatch):
             if v.equivalent:
                 assert sorted(walk_rows) == sorted(eager_rows)
     assert kinds[True] >= 10 and kinds[False] >= 10
+
+
+def test_certificate_checks_short_words():
+    # check (1) of check_certificate: the last-letter automaton has width 2,
+    # so the empty word heads no class, and its certificate against itself
+    # fails there against the automaton with the other accepting state
+    a = last_letter_qfa()
+    _, bases, k = eager_search(a, a)
+    assert k == 2 and check_certificate(a, a, k, bases) is None
+    b = with_accepting(a, {0})
+    assert decide(a, b).witness == ""
+    assert check_certificate(a, b, k, bases).startswith("(1)")
 
 
 def _reduced(s, re, im):

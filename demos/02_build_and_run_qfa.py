@@ -42,11 +42,12 @@ for word in ["", "a", "aa", "aaa"]:
 # Contexts for the first steps carry the '_' padding:
 two = Alphabet("ab")
 print("\ncontexts for k=2 over {a,b}:", reachable_contexts(two, 2))
-# The step at position i (from 1) reads the k characters that end just
-# before it in the padded word.
-padded = "_" * 2 + "abb"
+# The word is padded on the left with k - 1 blanks, and the step at
+# position i (from 1) reads the window of k characters that ends with the
+# letter being read, the one at padded[i].
+padded = "_" * (2 - 1) + "abb"
 print("context at each position of 'abb':",
-      [padded[i : i + 2] for i in (1, 2, 3)])
+      [padded[i - 1 : i + 1] for i in (1, 2, 3)])
 
 # last_letter_qfa accepts exactly the words ending in 'b', built from
 # permutation matrices only.

@@ -12,10 +12,15 @@ equivalence with the same products and elimination.  It builds the
 automata, the search's start node and the hostile input that
 several tests share, the writer that serializes a document through the
 standard library's json encoder, and a narrowing that peels one letter
-at a time, :func:`narrow_by_peeling`.
+at a time, :func:`narrow_by_peeling`.  Each pair family has one builder
+here: :func:`twist`, :func:`scale_initial`, :func:`with_block` and
+:func:`with_phase_block`; another accepting set is
+``dataclasses.replace(a, accepting=...)``.  :func:`random_word` draws the
+sampled words.
 """
 
 import collections
+import dataclasses
 import itertools
 import json
 import random
@@ -29,6 +34,7 @@ from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
     _check_word,
+    random_unitary,
     reachable_contexts,
 )
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational, _coerce, _ratio_text
@@ -221,8 +227,23 @@ def rotation_qfa():
 
 def scale_initial(a: KLetterQFA, phase) -> KLetterQFA:
     """a with its initial vector multiplied by phase."""
-    scaled = tuple(phase * x for x in a.initial)
-    return KLetterQFA(a.n, a.alphabet, a.k, scaled, a.accepting, a.transitions)
+    return dataclasses.replace(a, initial=tuple(phase * x for x in a.initial))
+
+
+def twist(a: KLetterQFA, seed: int) -> KLetterQFA:
+    """a with the transition of its all-last-letter context multiplied by
+    random_unitary(a.n, random.Random(seed)): the same initial vector and
+    accepting set, so it agrees with a on every word shorter than a.k."""
+    ctx = a.alphabet.symbols[-1] * a.k
+    u = random_unitary(a.n, random.Random(seed))
+    return dataclasses.replace(
+        a, transitions={**a.transitions, ctx: matmul(a.transitions[ctx], u)}
+    )
+
+
+def random_word(rng: random.Random, symbols, max_len: int) -> str:
+    """A word of rng.randrange(max_len + 1) letters, each rng.choice(symbols)."""
+    return "".join(rng.choice(symbols) for _ in range(rng.randrange(max_len + 1)))
 
 
 def narrow_by_peeling(a: KLetterQFA) -> KLetterQFA:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -7,14 +8,7 @@ import pytest
 
 import qfaeq.qfa
 from qfaeq.io import parse_qfa, serialize_qfa
-from qfaeq.linalg import (
-    CMatrix,
-    _row_vector,
-    is_unitary,
-    row_prob,
-    row_times_matrix,
-    start_row,
-)
+from qfaeq.linalg import CMatrix, is_unitary
 from qfaeq.qfa import (
     Alphabet,
     KLetterQFA,
@@ -30,7 +24,7 @@ from qfaeq.qfa import (
     reachable_contexts,
     validate,
 )
-from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
+from qfaeq.scalars import IMAG, ONE, ZERO
 
 from reference import (
     conj,
@@ -40,6 +34,7 @@ from reference import (
     rotation_qfa,
     row_step,
 )
+
 
 def test_alphabet_rules():
     ab = Alphabet("ab")
@@ -519,17 +514,6 @@ def test_width_matches_peeling():
     assert cases == 405
 
 
-def test_norm_preserved_along_runs():
-    for seed in range(3):
-        a = random_qfa(3, Alphabet("ab"), 2, seed=seed)
-        row = conj(a.initial)
-        for word in ["", "a", "ab", "bbab", "ababab"]:
-            assert norm_sq(row_step(row, mu_bar(a, word))) == 1
-            stepped = row_times_matrix(start_row(a.initial), mu_bar(a, word))
-            assert row_prob(stepped, range(a.n)) == 1
-            assert _row_vector(stepped) == row_step(row, mu_bar(a, word))
-
-
 def test_word_iteration_order():
     assert list(iter_words(Alphabet("ab"), 2)) == [
         "",
@@ -555,5 +539,5 @@ def test_automaton_equality_is_field_for_field():
     a = last_letter_qfa()
     b = last_letter_qfa()
     assert a == b
-    c = KLetterQFA(2, a.alphabet, 2, a.initial, frozenset({0}), a.transitions)
+    c = dataclasses.replace(a, accepting={0})
     assert a != c

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -225,6 +225,7 @@ def _walk(
     grow: Callable,
     least: int,
     cap: float = math.inf,
+    sizes: Callable = lambda: None,
 ) -> Verdict:
     """The one loop of :func:`decide` and :func:`brute_force`: check
     words in word order, each made by :func:`extend` from its parent, until
@@ -236,7 +237,8 @@ def _walk(
     is checked in integers by :func:`_differ`; only the witness's two
     probabilities are made as Fractions, by
     :func:`~qfaeq.linalg.row_prob`.  ``nodes_processed`` counts the
-    checked words of length ``least`` or more."""
+    checked words of length ``least`` or more, and ``basis_sizes`` is
+    ``sizes()``, read when the walk ends."""
     require_shared_alphabet(a1, a2)
     symbols = a1.alphabet.symbols
     acc1, acc2 = a1.accepting, a2.accepting
@@ -248,11 +250,11 @@ def _walk(
             checked += len(item.word) >= least
             if _differ(item.v1, item.v2, acc1, acc2):
                 p1, p2 = row_prob(item.v1, acc1), row_prob(item.v2, acc2)
-                return Verdict(False, item.word, p1, p2, nodes_processed=checked)
+                return Verdict(False, item.word, p1, p2, checked, sizes())
             if len(item.word) < cap:
                 queue.append(item)
         if not queue:
-            return Verdict(True, nodes_processed=checked)
+            return Verdict(True, nodes_processed=checked, basis_sizes=sizes())
         parent = queue.popleft()
         children = (extend(a1, a2, parent, s) for s in symbols) if grow(parent) else ()
 
@@ -310,9 +312,10 @@ def decide(a1: KLetterQFA, a2: KLetterQFA) -> Verdict:
             span_insert(basis, first)
         return span_insert(basis, real_row(item))
 
-    verdict = _walk(a1, a2, grow, k)
-    sizes = {c: 1 if type(b) is QueueItem else len(b) for c, b in classes.items()}
-    return replace(verdict, basis_sizes=sizes)
+    def sizes() -> dict:
+        return {c: 1 if type(b) is QueueItem else len(b) for c, b in classes.items()}
+
+    return _walk(a1, a2, grow, k, sizes=sizes)
 
 
 def brute_force(

@@ -23,17 +23,19 @@ may declare at most 64 states and 4096 contexts, the generator's caps.
 One reader takes every number in a document, the initial vector's and the
 matrices', from text to integers scaled to a common denominator: the
 initial vector over one, read back as Gaussian rationals, and each matrix
-over its own, read straight into the integer form of
-:class:`~qfaeq.linalg.CMatrix`.  Each numerator and denominator has at most
-4300 digits, each common denominator (the lcm of the denominators it
-covers) at most 8600, and the nonzero parts of one matrix, scaled to it,
-at most 1 100 800 together, so hostile input stops at a located error
-before any arithmetic on it.  The reader takes a matrix's parts in bulk:
-one int call and a capped lcm per distinct denominator, checked first,
-then one pattern match over all the parts joined and one int call per
-numerator.  Only when a bulk check fails does it walk the parts one by
-one in document order, to name the first problem; that walk builds no
-values.
+over its own, read straight into the stored form of
+:class:`~qfaeq.linalg.CMatrix`: strided slices of the scaled parts give
+each column's real and imaginary parts, from which the column pairs that
+the row step reads are built once.  Each numerator and denominator has
+at most 4300 digits, each common denominator (the lcm of the
+denominators it covers) at most 8600, and the nonzero parts of one
+matrix, scaled to it, at most 1 100 800 together, so hostile input stops
+at a located error before any arithmetic on it.  The reader takes a
+matrix's parts in bulk: one int call and a capped lcm per distinct
+denominator, checked first, then one pattern match over all the parts
+joined and one int call per numerator.  Only when a bulk check fails
+does it walk the parts one by one in document order, to name the first
+problem; that walk builds no values.
 
 One writer, :func:`serialize_qfa`, formats both back, exact at any size,
 as the text json.dumps(doc, indent=2) gives, byte for byte.  It lays that
@@ -156,11 +158,12 @@ def _raise_first_problem(rows: list, n: int, parts: list) -> None:
             )
 
 
-def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
+def _read_rows(rows: list, n: int) -> tuple[int, list]:
     """The common denominator of the [re, im] pairs in rows, a list of
-    (location, row of n pairs), and their real and imaginary parts scaled
-    to it, one tuple per row.  The parts are checked and read in bulk; when
-    a check fails, :func:`_raise_first_problem` names the first problem.
+    (location, row of n pairs), and the list of their parts scaled to it,
+    in document order: each pair's real part, then its imaginary part.  The
+    parts are checked and read in bulk; when a check fails,
+    :func:`_raise_first_problem` names the first problem.
     The lcm is capped at _MAX_DEN_DIGITS digits: every part is scaled to it,
     so without a cap a few dozen coprime denominators would make every
     scaled part huge.  Under that cap a few large denominators can still
@@ -209,12 +212,7 @@ def _read_rows(rows: list, n: int) -> tuple[int, tuple, tuple]:
             f"{_locate(rows[i // (2 * n)][0], i // 2 % n, i % 2)}: scaled "
             f"parts exceed {_MAX_SCALED_DIGITS} digits in total"
         )
-    scaled = [p * (den // q) for p, q in zip(nums, dens)]
-    width = 2 * n
-    starts = range(0, len(scaled), width)
-    re = tuple(tuple(scaled[i : i + width : 2]) for i in starts)
-    im = tuple(tuple(scaled[i + 1 : i + width : 2]) for i in starts)
-    return den, re, im
+    return den, [p * (den // q) for p, q in zip(nums, dens)]
 
 
 def _parts(den: int, xs: list) -> map:
@@ -291,8 +289,8 @@ def parse_qfa(text: str) -> KLetterQFA:
         alphabet = Alphabet(obj["alphabet"])
     except ValueError as exc:
         raise QfaFormatError(f"alphabet: {exc}") from None
-    den, (xs,), (ys,) = _read_rows([("initial", obj["initial"])], n)
-    initial = _row_vector((den, xs, ys))
+    den, scaled = _read_rows([("initial", obj["initial"])], n)
+    initial = _row_vector((den, scaled[::2], scaled[1::2]))
     accepting = frozenset(
         _require_int(q, f"accepting[{i}]", 0) for i, q in enumerate(obj["accepting"])
     )
@@ -304,7 +302,14 @@ def parse_qfa(text: str) -> KLetterQFA:
         if not isinstance(matrix, list) or len(matrix) != n:
             raise QfaFormatError(f"{where}: expected {n} matrix rows")
         rows = [(f"{where}[{r}]", row) for r, row in enumerate(matrix)]
-        transitions[key] = CMatrix._from_ints(*_read_rows(rows, n))
+        den, scaled = _read_rows(rows, n)
+        # column j's real parts stand every 2n parts from 2j, its imaginary
+        # parts every 2n parts from 2j + 1
+        transitions[key] = CMatrix._from_columns(
+            den,
+            [scaled[2 * j :: 2 * n] for j in range(n)],
+            [scaled[2 * j + 1 :: 2 * n] for j in range(n)],
+        )
     # Every well-shaped key is a reachable context (_context_shape_ok), so
     # if any context is absent, one of the first len(transitions) + 1 in
     # context order is.  Looking no further keeps a short document with a

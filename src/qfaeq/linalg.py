@@ -1,15 +1,19 @@
 """Dense matrices and row vectors over Gaussian rationals, kept as scaled
 Gaussian integers.
 
-A :class:`CMatrix` holds one positive common denominator and two tuples of
-integer rows, the real and imaginary parts of the matrix times that
-denominator.  A row is a triple ``(s, re, im)`` of a positive int and two
-tuples of ints, standing for the vector (re + i*im)/s.  Both forms are
-reduced: the denominator and every entry have gcd 1, so equal values have
-equal forms.  A product of two such values is an integer product followed
-by one gcd that removes the common factor, instead of a normalized
-rational operation per entry; this is fraction-free exact arithmetic in
-the style of Bareiss (1968) and Cohen (1993, ch. 2).
+A :class:`CMatrix` holds one positive common denominator and, for each
+column, with cr and ci its real and imaginary parts times that
+denominator, the two integer tuples cr ++ (-ci) and ci ++ cr.  A row is a
+triple ``(s, re, im)`` of a positive int and two tuples of ints, standing
+for the vector (re + i*im)/s.  The row step, :func:`row_times_matrix`,
+joins a row once as re ++ im and takes one integer dot product with each
+stored tuple, so it reads the matrix exactly as stored; the matrix product
+and :func:`is_unitary` read the same tuples.  Both forms are reduced: the
+denominator and every entry have gcd 1, so equal values have equal forms.
+A product of two such values is an integer product followed by one gcd
+that removes the common factor, instead of a normalized rational
+operation per entry; this is fraction-free exact arithmetic in the style
+of Bareiss (1968) and Cohen (1993, ch. 2).
 
 Plain tuples of :class:`~qfaeq.scalars.GaussianRational` serve as vectors
 only at the edges: an automaton's initial vector, which :func:`start_row`
@@ -25,7 +29,7 @@ span membership with a single elimination pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable
@@ -54,18 +58,26 @@ def _entry(x: int, y: int, den: int) -> GaussianRational:
 
 
 class CMatrix:
-    """An immutable matrix of Gaussian rationals, stored as (re + i*im)/den.
+    """An immutable matrix of Gaussian rationals, stored as scaled integer
+    columns in the form the row step reads.
 
-    ``den`` is a positive int and ``re`` and ``im`` are tuples of integer
-    rows, reduced so that den and all entries have gcd 1.  The form is
-    canonical, so equality and hashing compare it directly.  Indexing and
-    :meth:`column` return :class:`GaussianRational` entries, and ``data``
-    builds the matrix as a tuple of row tuples of them on every access.
-    Multiplication stays exact; there is no floating-point path anywhere in
-    this class.
+    ``den`` is a positive int.  With cr_j and ci_j the real and imaginary
+    parts of column j times den, tuples of ints, ``cols`` holds
+    P_j = cr_j ++ (-ci_j) at index j and Q_j = ci_j ++ cr_j at index
+    ncols + j.  A row vr + i*vi, joined as w = vr ++ vi, then has entry
+    w.P_j + i*(w.Q_j) in its product with the matrix:
+    :func:`row_times_matrix`, ``*`` and :func:`is_unitary` read ``cols``
+    and nothing else.  The form is reduced, den and all entries having
+    gcd 1, so it is canonical and equality and hashing compare it
+    directly.  ``re`` and ``im``, the integer rows of the real and
+    imaginary parts, ``data``, a tuple of row tuples of
+    :class:`GaussianRational` entries, indexing and :meth:`column` are
+    read-only views derived from ``cols`` on every access, for the writer,
+    ``repr`` and tests.  Multiplication stays exact; there is no
+    floating-point path anywhere in this class.
     """
 
-    __slots__ = ("nrows", "ncols", "den", "re", "im")
+    __slots__ = ("nrows", "ncols", "den", "cols")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -75,38 +87,59 @@ class CMatrix:
         if width == 0 or any(len(row) != width for row in data):
             raise ValueError("matrix rows must be nonempty and equally long")
         den, re, im = _scaled_row(tuple(chain.from_iterable(data)))
-        cuts = range(0, len(re), width)
-        self.nrows = len(data)
-        self.ncols = width
+        self._set(
+            den,
+            [re[j::width] for j in range(width)],
+            [im[j::width] for j in range(width)],
+        )
+
+    def _set(self, den: int, cre, cim) -> None:
+        """Store the matrix whose column j is (cre[j] + i*cim[j])/den, for
+        den > 0 and equally long nonempty sequences of ints, reduced by one
+        gcd."""
+        g = gcd(den, *chain(*cre, *cim))
+        if g > 1:
+            den //= g
+            cre = [[x // g for x in c] for c in cre]
+            cim = [[y // g for y in c] for c in cim]
+        self.nrows = len(cre[0])
+        self.ncols = len(cre)
         self.den = den
-        self.re = tuple(re[i : i + width] for i in cuts)
-        self.im = tuple(im[i : i + width] for i in cuts)
+        pairs = list(zip(map(tuple, cre), map(tuple, cim)))
+        self.cols = tuple(
+            [r + tuple([-y for y in i]) for r, i in pairs]
+            + [i + r for r, i in pairs]
+        )
+
+    @classmethod
+    def _from_columns(cls, den: int, cre, cim) -> "CMatrix":
+        """The matrix whose column j is (cre[j] + i*cim[j])/den, as
+        :meth:`_set` stores it."""
+        m = object.__new__(cls)
+        m._set(den, cre, cim)
+        return m
 
     @classmethod
     def _from_ints(cls, den: int, re: tuple, im: tuple) -> "CMatrix":
         """The matrix (re + i*im)/den for den > 0 and equally long nonempty
         rows of ints, reduced by one gcd."""
-        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
-        if g > 1:
-            den //= g
-            re = tuple(tuple(x // g for x in row) for row in re)
-            im = tuple(tuple(x // g for x in row) for row in im)
-        m = object.__new__(cls)
-        m.nrows = len(re)
-        m.ncols = len(re[0])
-        m.den = den
-        m.re = re
-        m.im = im
-        return m
+        return cls._from_columns(den, tuple(zip(*re)), tuple(zip(*im)))
 
     @classmethod
     def identity(cls, n: int) -> "CMatrix":
-        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls._from_ints(1, eye, tuple((0,) * n for _ in range(n)))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
+
+    @property
+    def re(self) -> tuple:
+        return tuple(zip(*self.cols[: self.ncols]))[: self.nrows]
+
+    @property
+    def im(self) -> tuple:
+        return tuple(zip(*self.cols[self.ncols :]))[: self.nrows]
 
     @property
     def data(self) -> tuple:
@@ -118,19 +151,22 @@ class CMatrix:
 
     def __getitem__(self, index: tuple[int, int]) -> GaussianRational:
         i, j = index
-        return _entry(self.re[i][j], self.im[i][j], self.den)
+        # range indexing applies Python's bounds and negative indices
+        i, j = range(self.nrows)[i], range(self.ncols)[j]
+        return _entry(self.cols[j][i], self.cols[self.ncols + j][i], self.den)
 
     def column(self, j: int) -> tuple:
-        den = self.den
-        return tuple(_entry(xs[j], ys[j], den) for xs, ys in zip(self.re, self.im))
+        den, n = self.den, self.nrows
+        q = self.cols[self.ncols + range(self.ncols)[j]]
+        return tuple(_entry(x, y, den) for x, y in zip(q[n:], q[:n]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return (self.den, self.re, self.im) == (other.den, other.re, other.im)
+        return self.den == other.den and self.cols == other.cols
 
     def __hash__(self) -> int:
-        return hash((self.den, self.re, self.im))
+        return hash((self.den, self.cols))
 
     def __mul__(self, other):
         if not isinstance(other, CMatrix):
@@ -140,13 +176,13 @@ class CMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        cols = _joined_columns(other)
-        rows = [_times_columns(ar, ai, cols) for ar, ai in zip(self.re, self.im)]
-        return CMatrix._from_ints(
-            self.den * other.den,
-            tuple(tuple(re) for re, _ in rows),
-            tuple(tuple(im) for _, im in rows),
-        )
+        # the first nrows rows across self.cols are self's rows, each
+        # joined as re ++ im, and each steps through other.cols as a row does
+        rows = islice(zip(*self.cols), self.nrows)
+        out = [[sum(map(mul, w, c)) for c in other.cols] for w in rows]
+        cols = tuple(zip(*out))
+        n = other.ncols
+        return CMatrix._from_columns(self.den * other.den, cols[:n], cols[n:])
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -155,38 +191,22 @@ class CMatrix:
         return f"CMatrix[{rows}]"
 
 
-def _joined_columns(m: CMatrix) -> list:
-    """Each column of m as one tuple, its real parts followed by its
-    imaginary parts."""
-    return [r + i for r, i in zip(zip(*m.re), zip(*m.im))]
-
-
-def _times_columns(vr: tuple, vi: tuple, cols: list) -> tuple[list, list]:
-    """The real and imaginary parts of (vr + i*vi) times the matrix whose
-    joined columns are cols, without any scale: with column j as cr ++ ci,
-    entry j is (vr ++ -vi).col + i (vi ++ vr).col."""
-    a = vr + tuple([-x for x in vi])
-    b = vi + vr
-    return [sum(map(mul, a, c)) for c in cols], [sum(map(mul, b, c)) for c in cols]
-
-
 def is_unitary(a: CMatrix) -> bool:
     """Exact test that A^dagger A is the identity: over the integers,
     that column p of den*a has squared norm den^2 and is orthogonal to every
-    later column."""
+    later column q.  With P and Q the columns' pairs in ``a.cols``, the
+    squared norm is Q_p.Q_p, and conj(col p).(col q) is
+    Q_p.Q_q + i*(P_p.Q_q)."""
     if not a.is_square:
         raise ValueError("unitarity is only defined for square matrices")
     den_sq = a.den * a.den
-    n = a.nrows
-    cols = _joined_columns(a)
-    # with column q as cr ++ ci, the imaginary part of conj(col p).(col q)
-    # is col p dotted with ci ++ -cr
-    turned = [c[n:] + tuple([-x for x in c[:n]]) for c in cols]
-    for p, c in enumerate(cols):
-        if sum(map(mul, c, c)) != den_sq:
+    n = a.ncols
+    ps, qs = a.cols[:n], a.cols[n:]
+    for p, (cp, cq) in enumerate(zip(ps, qs)):
+        if sum(map(mul, cq, cq)) != den_sq:
             return False
-        for d, e in zip(cols[p + 1 :], turned[p + 1 :]):
-            if sum(map(mul, c, d)) or sum(map(mul, c, e)):
+        for d in qs[p + 1 :]:
+            if sum(map(mul, cq, d)) or sum(map(mul, cp, d)):
                 return False
     return True
 
@@ -220,17 +240,21 @@ def _row_vector(row: tuple) -> tuple:
 
 
 def row_times_matrix(row: tuple, m: CMatrix) -> tuple:
-    """Row times matrix: an integer product over the common scale s * den,
-    then one gcd to remove the content."""
+    """Row times matrix: the row joined once as vr ++ vi, one integer dot
+    product with each of the 2 * ncols columns of ``m.cols`` over the common
+    scale s * den, then one gcd to remove the content."""
     s, vr, vi = row
     if len(vr) != m.nrows:
         raise ValueError(f"row of length {len(vr)} times {m.nrows}x{m.ncols}")
-    re, im = _times_columns(vr, vi, _joined_columns(m))
+    w = vr + vi
+    out = [sum(map(mul, w, c)) for c in m.cols]
     s *= m.den
-    g = gcd(s, *re, *im)
+    g = gcd(s, *out)
+    n = m.ncols
     if g > 1:
-        return s // g, tuple(x // g for x in re), tuple(x // g for x in im)
-    return s, tuple(re), tuple(im)
+        out = [x // g for x in out]
+        s //= g
+    return s, tuple(out[:n]), tuple(out[n:])
 
 
 def row_prob(row: tuple, positions: Iterable[int]) -> Fraction:

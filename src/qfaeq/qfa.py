@@ -314,10 +314,13 @@ def _width(a: KLetterQFA) -> int:
         if m is None:
             return a.k
         body = ctx.lstrip(LAMBDA)
-        if len(body) > width and a.transitions[_window(body[1:], a.k)] != m:
-            width = len(body)
-            if width == a.k:
-                return width
+        if len(body) > width:
+            parent = a.transitions[_window(body[1:], a.k)]
+            # a lift's contexts share matrix objects: identity settles most
+            if parent is not m and parent != m:
+                width = len(body)
+                if width == a.k:
+                    return width
     return width
 
 
@@ -345,7 +348,8 @@ def random_unitary(n: int, rng: random.Random) -> CMatrix:
     from rng are applied to its columns in place.
 
     Column j is kept as (s, re, im), the vector (re + i*im)/s over its own
-    scale, so every factor acts on integers.
+    scale, so every factor acts on integers, and the matrix is built from
+    these columns, brought to one scale, without forming its rows.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -396,9 +400,11 @@ def random_unitary(n: int, rng: random.Random) -> CMatrix:
                     [a * y + b * x for x, y in zip(re, im)],
                 )
     den = lcm(*(s for s, _, _ in cols))
-    re = tuple(zip(*([x * (den // s) for x in r] for s, r, _ in cols)))
-    im = tuple(zip(*([y * (den // s) for y in i] for s, _, i in cols)))
-    return CMatrix._from_ints(den, re, im)
+    return CMatrix._from_columns(
+        den,
+        [[x * (den // s) for x in re] for s, re, _ in cols],
+        [[y * (den // s) for y in im] for s, _, im in cols],
+    )
 
 
 def random_qfa(n: int, alphabet: Alphabet, k: int, seed: int) -> KLetterQFA:

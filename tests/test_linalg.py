@@ -16,7 +16,8 @@ from qfaeq.linalg import (
     start_row,
     vector,
 )
-from qfaeq.qfa import random_unitary
+from qfaeq.io import parse_qfa, serialize_qfa
+from qfaeq.qfa import Alphabet, KLetterQFA, random_unitary
 from qfaeq.scalars import IMAG, ONE, ZERO, GaussianRational
 
 from reference import (
@@ -62,6 +63,9 @@ def test_constructor_rejects_ragged_and_empty():
         CMatrix([])
     with pytest.raises(ValueError):
         CMatrix([[]])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one row"):
+            CMatrix.identity(n)
     for inexact in (0.5, None):
         with pytest.raises(TypeError, match="exact scalar"):
             CMatrix([[inexact]])
@@ -128,8 +132,10 @@ def test_is_unitary_counterexamples():
     assert not is_unitary(CMatrix([[Fraction(1, 2)]]))
     assert is_unitary(CMatrix([[IMAG]]))
     assert is_unitary(CMatrix.identity(4))
-    with pytest.raises(ValueError):
-        is_unitary(CMatrix([[1, 0]]))
+    wide, tall = (random_matrix(random.Random(0), *s) for s in ((1, 8), (8, 1)))
+    for m in (CMatrix([[1, 0]]), wide, tall):
+        with pytest.raises(ValueError):
+            is_unitary(m)
 
 
 def test_vector_helpers():
@@ -144,12 +150,13 @@ def test_vector_helpers():
 @given(st.integers(0, 10**6))
 def test_row_times_matrix_matches_full_product(seed):
     rng = random.Random(seed)
-    m = random_matrix(rng, 3, 4)
-    row = tuple(random_scalar(rng) for _ in range(3))
-    via_matrix = (CMatrix([row]) * m).data[0]
-    stepped = _row_vector(row_times_matrix(_scaled_row(row), m))
-    assert stepped == via_matrix
-    assert stepped == row_step(row, m)
+    for rows, cols in ((3, 4), (1, 8), (8, 1), (8, 8)):
+        m = random_matrix(rng, rows, cols)
+        row = tuple(random_scalar(rng) for _ in range(rows))
+        via_matrix = (CMatrix([row]) * m).data[0]
+        stepped = _row_vector(row_times_matrix(_scaled_row(row), m))
+        assert stepped == via_matrix
+        assert stepped == row_step(row, m)
 
 
 def test_row_times_matrix_dimension_check():
@@ -310,7 +317,7 @@ def perturbations(m):
 
 def test_is_unitary_agrees_with_entrywise_reference():
     seen = {True: 0, False: 0}
-    for n in (1, 2, 3, 4, 6):
+    for n in (1, 2, 3, 4, 6, 8):
         for seed in range(4):
             u = random_unitary(n, random.Random(seed))
             assert is_unitary(u) and unitary(u)
@@ -319,3 +326,27 @@ def test_is_unitary_agrees_with_entrywise_reference():
                 seen[unitary(v)] += 1
     # the perturbed matrices include unitary and non-unitary ones
     assert seen[True] > 0 and seen[False] > 0
+
+
+def test_every_producer_stores_one_form():
+    # the constructor, the reader, a product and the generator all store
+    # the same den and column pairs for one value, so equal matrices hash
+    # alike and the row step reads one form
+    rng = random.Random(8)
+    for n in range(1, 9):
+        u = random_unitary(n, rng)
+        a = KLetterQFA(n, Alphabet("a"), 1, u.column(0), {0}, {"a": u})
+        m = random_matrix(rng, n, 9 - n)
+        for value, others in (
+            (u, [parse_qfa(serialize_qfa(a)).transitions["a"]]),
+            (m, [m * CMatrix.identity(9 - n)]),
+        ):
+            others += [
+                CMatrix(value.data),
+                CMatrix.identity(n) * value,
+                CMatrix._from_ints(value.den, value.re, value.im),
+            ]
+            for other in others:
+                assert other == value and hash(other) == hash(value)
+                assert (other.den, other.cols) == (value.den, value.cols)
+                assert all(type(c) is tuple for c in other.cols)

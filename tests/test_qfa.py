@@ -424,11 +424,17 @@ def test_width_compares_padded_contexts():
 
 
 def test_width_reads_each_context_once(monkeypatch):
-    # one walk over the width-5 contexts, and no automaton built
+    # one walk over the width-5 contexts, no automaton built, and no two
+    # matrices compared by value: the lift's contexts share matrix objects
     a = random_qfa(2, Alphabet("ab"), 1, seed=6)
     wide = lift(a, 5)
-    built, read = [], []
+    built, read, compared = [], [], []
     iter_contexts = qfaeq.qfa._iter_contexts
+    equal = CMatrix.__eq__
+
+    def counting_eq(m, other):
+        compared.append(m)
+        return equal(m, other)
 
     class Counting(KLetterQFA):
         def __post_init__(self):
@@ -442,8 +448,9 @@ def test_width_reads_each_context_once(monkeypatch):
 
     monkeypatch.setattr(qfaeq.qfa, "KLetterQFA", Counting)
     monkeypatch.setattr(qfaeq.qfa, "_iter_contexts", counting_contexts)
+    monkeypatch.setattr(CMatrix, "__eq__", counting_eq)
     assert _width(wide) == 1
-    assert built == []
+    assert built == [] and compared == []
     assert len(read) == len(wide.transitions)
 
 
